@@ -1,36 +1,22 @@
 """Sparse coefficient operators with counted block application.
 
-``SparseOperator`` is an immutable square CSR matrix.  All solver-facing
-products go through :func:`spmm`, which charges an :class:`OpCounter` session
-object: one *A-call* per block application and one *matvec* per applied
-column.  Counters live outside the operator so a shared operator can serve
-concurrent solve sessions.
-
-The inner product kernel is compiled (Cython) when available and falls back
-to a vectorized numpy implementation; set ``MATEQ_PURE_PYTHON=1`` to force
-the fallback.
+``SparseOperator`` is an immutable square CSR matrix held as one
+``scipy.sparse`` CSR array; every product runs on ``scipy.sparse``.  All
+solver-facing products go through :func:`spmm`, which charges an
+:class:`OpCounter` session object: one *A-call* per block application and one
+*matvec* per applied column.  Counters live outside the operator so a shared
+operator can serve concurrent solve sessions.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DimensionMismatchError
 
-if os.environ.get("MATEQ_PURE_PYTHON"):
-    from ._spmm_py import csr_spmm as _csr_spmm
-
-    KERNEL_BACKEND = "numpy"
-else:
-    try:
-        from ._spmm import csr_spmm as _csr_spmm
-
-        KERNEL_BACKEND = "cython"
-    except ImportError:  # pragma: no cover - exercised via MATEQ_PURE_PYTHON
-        from ._spmm_py import csr_spmm as _csr_spmm
-
-        KERNEL_BACKEND = "numpy"
+# Recorded by the benchmark's environment record; products have one backend.
+KERNEL_BACKEND = "scipy"
 
 __all__ = ["SparseOperator", "OpCounter", "spmm", "estimate_norm2", "KERNEL_BACKEND"]
 
@@ -63,74 +49,82 @@ class SparseOperator:
         Structural symmetry flag, verified exactly at construction.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "symmetric")
+    __slots__ = ("_csr", "symmetric")
 
     def __init__(self, n, indptr, indices, data, symmetric=False):
         n = int(n)
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        data = np.ascontiguousarray(data, dtype=np.float64)
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        data = np.asarray(data, dtype=np.float64)
         if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != data.shape[0]:
             raise ValueError("malformed CSR row pointers")
-        if np.any(np.diff(indptr) < 0):
+        row_len = np.diff(indptr)
+        if np.any(row_len < 0):
             raise ValueError("CSR row pointers must be nondecreasing")
         if indices.shape != data.shape:
             raise ValueError("CSR indices/data length mismatch")
-        if data.size and not np.isfinite(data).all():
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise ValueError("column indices must lie in [0, n)")
+        # (row, column) pairs in row-major order increase strictly exactly
+        # when every row's columns do
+        rows = np.repeat(np.arange(n, dtype=np.int64), row_len)
+        if np.any(np.diff(rows * n + indices) <= 0):
+            raise ValueError("column indices must be strictly increasing within each row")
+        csr = scipy.sparse.csr_array((data, indices, indptr), shape=(n, n))
+        self._init(csr, symmetric)
+
+    def _init(self, csr, symmetric):
+        """Adopt a canonical CSR array after the entry and symmetry checks."""
+        if not np.isfinite(csr.data).all():
             raise ValueError("operator entries must be finite")
-        for i in range(n):
-            row = indices[indptr[i]:indptr[i + 1]]
-            if row.size and (row[0] < 0 or row[-1] >= n or np.any(np.diff(row) <= 0)):
-                raise ValueError(f"row {i}: column indices must be strictly increasing in [0, n)")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "data", data)
         if symmetric:
-            t = self._transpose_arrays()
+            t = csr.T.tocsr()
             same = (
-                np.array_equal(t[0], indptr)
-                and np.array_equal(t[1], indices)
-                and np.array_equal(t[2], data)
+                np.array_equal(t.indptr, csr.indptr)
+                and np.array_equal(t.indices, csr.indices)
+                and np.array_equal(t.data, csr.data)
             )
             if not same:
                 raise ValueError("symmetric flag set but operator is not exactly symmetric")
+        object.__setattr__(self, "_csr", csr)
         object.__setattr__(self, "symmetric", bool(symmetric))
+
+    @classmethod
+    def _from_csr(cls, csr, symmetric):
+        op = cls.__new__(cls)
+        op._init(csr, symmetric)
+        return op
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseOperator is immutable")
 
     @property
+    def n(self):
+        return self._csr.shape[0]
+
+    @property
+    def indptr(self):
+        return self._csr.indptr
+
+    @property
+    def indices(self):
+        return self._csr.indices
+
+    @property
+    def data(self):
+        return self._csr.data
+
+    @property
     def nnz(self):
-        return int(self.data.shape[0])
+        return self._csr.nnz
 
     @classmethod
     def from_coo(cls, n, rows, cols, values, symmetric=False):
         """Build from triplets; duplicates are summed, zeros kept as stored."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if rows.shape != cols.shape or rows.shape != values.shape:
-            raise ValueError("COO triplet arrays must have equal length")
-        if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
-            raise ValueError("COO indices out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if rows.size:
-            keep = np.ones(rows.size, dtype=bool)
-            dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-            if dup.any():
-                # sum duplicate entries into the first occurrence of each run
-                vals = values.copy()
-                for i in np.nonzero(dup)[0]:
-                    vals[i + 1] += vals[i]
-                    keep[i] = False
-                values = vals
-            rows, cols, values = rows[keep], cols[keep], values[keep]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n, indptr, cols, values, symmetric=symmetric)
+        coo = scipy.sparse.coo_array(
+            (np.asarray(values, dtype=np.float64), (rows, cols)), shape=(n, n)
+        )
+        return cls._from_csr(coo.tocsr(), symmetric)
 
     @classmethod
     def from_dense(cls, M, symmetric=False, tol=0.0):
@@ -146,40 +140,20 @@ class SparseOperator:
         indptr = np.arange(n + 1, dtype=np.int64)
         return cls(n, indptr, idx, np.full(n, float(scale)), symmetric=True)
 
-    def _transpose_arrays(self):
-        order = np.argsort(self.indices, kind="stable")
-        row_of = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        t_indices = row_of[order]
-        t_data = self.data[order]
-        t_indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(t_indptr, self.indices + 1, 1)
-        np.cumsum(t_indptr, out=t_indptr)
-        return t_indptr, t_indices, t_data
-
     def transpose(self):
         if self.symmetric:
             return self
-        t_indptr, t_indices, t_data = self._transpose_arrays()
-        return SparseOperator(self.n, t_indptr, t_indices, t_data, symmetric=False)
+        return SparseOperator._from_csr(self._csr.T.tocsr(), symmetric=False)
 
     def apply(self, V):
         """Uncounted block application A @ V (diagnostics and norm estimation)."""
         V = np.asarray(V, dtype=np.float64)
-        single = V.ndim == 1
-        if single:
-            V = V[:, None]
         if V.shape[0] != self.n:
             raise DimensionMismatchError(f"operator is {self.n}x{self.n}, block has {V.shape[0]} rows")
-        out = np.empty((self.n, V.shape[1]), dtype=np.float64)
-        _csr_spmm(self.indptr, self.indices, self.data, np.ascontiguousarray(V), out)
-        return out[:, 0] if single else out
+        return self._csr @ V
 
     def to_dense(self):
-        M = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            sl = slice(self.indptr[i], self.indptr[i + 1])
-            M[i, self.indices[sl]] = self.data[sl]
-        return M
+        return self._csr.toarray()
 
     def __repr__(self):
         return f"SparseOperator(n={self.n}, nnz={self.nnz}, symmetric={self.symmetric})"
@@ -195,8 +169,7 @@ def spmm(A, V, counter):
         raise DimensionMismatchError(f"block must be n x s with s >= 1, got shape {V.shape}")
     if V.shape[0] != A.n:
         raise DimensionMismatchError(f"operator is {A.n}x{A.n}, block has {V.shape[0]} rows")
-    out = np.empty((A.n, V.shape[1]), dtype=np.float64)
-    _csr_spmm(A.indptr, A.indices, A.data, np.ascontiguousarray(V), out)
+    out = A._csr @ V
     counter.record(V.shape[1])
     return out
 

@@ -13,19 +13,9 @@ from mateq import (
     write_dense_matrix_market,
     write_matrix_market,
 )
-from mateq import _spmm_py
 from mateq.errors import DimensionMismatchError
 
 from conftest import rng_for
-
-try:
-    from mateq import _spmm as _spmm_cy
-except ImportError:  # pragma: no cover
-    _spmm_cy = None
-
-KERNELS = [("numpy", _spmm_py.csr_spmm)]
-if _spmm_cy is not None:
-    KERNELS.append(("cython", _spmm_cy.csr_spmm))
 
 
 def random_sparse(rng, n, density=0.1):
@@ -52,11 +42,18 @@ def test_spmm_diagonal_column():
 
 def test_spmm_against_dense_oracle():
     rng = rng_for(2)
-    M = random_sparse(rng, 50)
-    A = SparseOperator.from_dense(M)
-    V = rng.standard_normal((50, 3))
-    out = spmm(A, V, OpCounter())
-    assert np.linalg.norm(out - M @ V) <= 1e-13 * max(np.linalg.norm(M @ V), 1)
+    general = random_sparse(rng, 50)
+    # an interior empty row and an empty trailing row
+    empty_rows = random_sparse(rng, 40, density=0.15)
+    empty_rows[[7, -1], :] = 0.0
+    for M, s in ((general, 3), (empty_rows, 5)):
+        A = SparseOperator.from_dense(M)
+        V = rng.standard_normal((M.shape[0], s))
+        out = spmm(A, V, OpCounter())
+        assert np.linalg.norm(out - M @ V) <= 1e-13 * max(np.linalg.norm(M @ V), 1)
+        v = V[:, 0]
+        assert A.apply(v).shape == v.shape
+        assert np.linalg.norm(A.apply(v) - M @ v) <= 1e-13 * max(np.linalg.norm(M @ v), 1)
 
 
 def test_spmm_linearity():
@@ -76,39 +73,35 @@ def test_spmm_dimension_mismatch():
         spmm(A, np.ones((5, 2)), OpCounter())
 
 
-@pytest.mark.parametrize("name,kernel", KERNELS)
-def test_kernel_matches_dense(name, kernel):
-    rng = rng_for(4)
-    M = random_sparse(rng, 40, density=0.15)
-    # include an empty row and an empty trailing row
-    M[7, :] = 0.0
-    M[-1, :] = 0.0
-    A = SparseOperator.from_dense(M)
-    V = rng.standard_normal((40, 5))
-    out = np.empty((40, 5))
-    kernel(A.indptr, A.indices, A.data, np.ascontiguousarray(V), out)
-    assert np.allclose(out, M @ V, atol=1e-13)
-
-
-def test_kernels_agree():
-    if _spmm_cy is None:
-        pytest.skip("compiled kernel not built")
-    rng = rng_for(5)
-    M = random_sparse(rng, 60, density=0.2)
-    A = SparseOperator.from_dense(M)
-    V = np.ascontiguousarray(rng.standard_normal((60, 4)))
-    out1 = np.empty((60, 4))
-    out2 = np.empty((60, 4))
-    _spmm_py.csr_spmm(A.indptr, A.indices, A.data, V, out1)
-    _spmm_cy.csr_spmm(A.indptr, A.indices, A.data, V, out2)
-    # summation orders differ (pairwise vs sequential): equality to roundoff
-    assert np.allclose(out1, out2, atol=1e-14, rtol=1e-14)
-
-
 def test_from_coo_sums_duplicates():
     A = SparseOperator.from_coo(2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])
     assert A.nnz == 2
     assert np.allclose(A.to_dense(), [[0, 5], [1, 0]])
+
+
+def test_from_coo_keeps_explicit_zero():
+    A = SparseOperator.from_coo(2, [0, 1, 1], [0, 0, 1], [1.0, 0.0, 2.0])
+    assert A.nnz == 3
+    assert list(A.indptr) == [0, 1, 3] and list(A.indices) == [0, 0, 1]
+    assert list(A.data) == [1.0, 0.0, 2.0]
+
+
+# 3x3 CSR inputs, each broken in one way; the valid base is
+# indptr [0, 2, 3, 5], indices [0, 2, 1, 0, 2]
+@pytest.mark.parametrize("indptr,indices,data,symmetric", [
+    ([0, 2, 3, 5], [2, 0, 1, 0, 2], [1.0] * 5, False),  # unsorted columns
+    ([0, 2, 3, 5], [0, 0, 1, 0, 2], [1.0] * 5, False),  # duplicated column
+    ([0, 2, 3, 5], [0, 3, 1, 0, 2], [1.0] * 5, False),  # column index >= n
+    ([0, 2, 3, 5], [-1, 2, 1, 0, 2], [1.0] * 5, False),  # negative column index
+    ([0, 3, 2, 5], [0, 2, 1, 0, 2], [1.0] * 5, False),  # decreasing indptr
+    ([0, 2, 3, 4], [0, 2, 1, 0, 2], [1.0] * 5, False),  # indptr[-1] != nnz
+    ([0, 2, 3, 5], [0, 2, 1, 0, 2], [1.0, np.nan, 1.0, 1.0, 1.0], False),  # non-finite
+    ([0, 2, 3, 4], [0, 2, 1, 2], [1.0, 0.0, 1.0, 1.0], True),  # unmirrored explicit zero
+], ids=["unsorted", "duplicate", "col-too-large", "col-negative", "indptr-decreasing",
+        "indptr-nnz-mismatch", "non-finite", "unmirrored-zero"])
+def test_malformed_csr_rejected(indptr, indices, data, symmetric):
+    with pytest.raises(ValueError):
+        SparseOperator(3, indptr, indices, data, symmetric=symmetric)
 
 
 def test_symmetric_flag_verified():
