@@ -32,7 +32,7 @@ from .mmio import (
     write_dense_matrix_market,
     write_matrix_market,
 )
-from .problems import ProblemSpec, convdiff_3d, laplacian_2d, random_rhs
+from .problems import convdiff_3d, laplacian_2d, random_rhs
 from .residuals import (
     explicit_residual_lyap,
     explicit_residual_sylv,

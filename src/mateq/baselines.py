@@ -30,7 +30,7 @@ from .errors import (
     RankDeficientBlockError,
 )
 from .linalg import qr_economy
-from .restarted import SolveReport, _as_block, _factor_pair, _product_norm, _sym_product_norm
+from .restarted import SolveReport, _as_block, _factor_pair, _product_norm
 from .residuals import residual_norm_lyap, true_residual_lyap, true_residual_sylv
 from .sparse import OpCounter, estimate_norm2, spmm
 
@@ -244,13 +244,12 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
     t0 = time.perf_counter()
     counter = OpCounter()
     s = C.shape[1]
-    rhs_norm = _sym_product_norm(C, np.eye(s), "frobenius")
-    basis = _ExtendedBasis(A, C, inner, counter, max_dim)
     report = SolveReport(
         solver=f"eksm-{inner.kind.split('-')[1]}", n=A.n, s=s, norm="frobenius",
-        tol_res=tol_res, tol_comp=None, memmax=max_dim, k_max=None, seed=None,
+        tol_res=tol_res, tol_comp=None, memmax=max_dim, k_max=None,
+        rhs_norm=_product_norm(C, C, "frobenius"),
     )
-    report.rhs_norm = rhs_norm
+    basis = _ExtendedBasis(A, C, inner, counter, max_dim)
     outer = 0
     while True:
         Ctil = basis.rhs_block()
@@ -262,21 +261,13 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
         basis.extend()
         outer += 1
     norm_a = estimate_norm2(A)
+    report.norm_estimate_a = report.norm_estimate_b = norm_a
     fac = _finish_sym(basis.U, Y, _solution_cut(tol_res, norm_a, norm_a))
-    report.converged = True
     report.iterations = outer
     report.basis_dim = basis.dim
     report.peak_live_columns = basis.dim
-    report.final_residual = r
-    report.final_relative_residual = r / rhs_norm if rhs_norm else float("nan")
-    report.solution_rank = fac.rank
-    report.true_residual = true_residual_lyap(A, C, fac.C, fac.S, "frobenius")
-    report.true_relative_residual = (
-        report.true_residual / rhs_norm if rhs_norm else float("nan")
-    )
-    report.counters = {"A": counter.as_dict()}
-    report.efficiency = counter.matvecs / counter.a_calls if counter.a_calls else float("nan")
-    report.wall_time_s = time.perf_counter() - t0
+    report.finish(True, fac.rank, true_residual_lyap(A, C, fac.C, fac.S, "frobenius"),
+                  {"A": counter}, t0)
     return fac, report
 
 
@@ -290,16 +281,14 @@ def eksm_sylv(A, B, C, D, inner_a, inner_b, tol_res, max_dim):
     D = _as_block(D)
     t0 = time.perf_counter()
     cnt_a, cnt_b = OpCounter(), OpCounter()
-    s = C.shape[1]
-    rhs_norm = _product_norm(C, D, "frobenius")
+    report = SolveReport(
+        solver=f"eksm-{inner_a.kind.split('-')[1]}", n=A.n, s=C.shape[1], norm="frobenius",
+        tol_res=tol_res, tol_comp=None, memmax=max_dim, k_max=None,
+        rhs_norm=_product_norm(C, D, "frobenius"),
+    )
     Bt = B.transpose()
     ba = _ExtendedBasis(A, C, inner_a, cnt_a, max_dim)
     bb = _ExtendedBasis(Bt, D, inner_b, cnt_b, max_dim)
-    report = SolveReport(
-        solver=f"eksm-{inner_a.kind.split('-')[1]}", n=A.n, s=s, norm="frobenius",
-        tol_res=tol_res, tol_comp=None, memmax=max_dim, k_max=None, seed=None,
-    )
-    report.rhs_norm = rhs_norm
     outer = 0
     while True:
         F = ba.rhs_block() @ bb.rhs_block().T
@@ -314,23 +303,15 @@ def eksm_sylv(A, B, C, D, inner_a, inner_b, tol_res, max_dim):
         ba.extend()
         bb.extend()
         outer += 1
-    cut = _solution_cut(tol_res, estimate_norm2(A), estimate_norm2(B))
+    report.norm_estimate_a, report.norm_estimate_b = estimate_norm2(A), estimate_norm2(B)
+    cut = _solution_cut(tol_res, report.norm_estimate_a, report.norm_estimate_b)
     YL, YR = _factor_pair(Y, TruncationRule(cut, "spectral"))
     fac = LowRankFactorPair(ba.U @ YL, bb.U @ YR)
-    report.converged = True
     report.iterations = outer
     report.basis_dim = ba.dim
     report.peak_live_columns = ba.dim + bb.dim
-    report.final_residual = r
-    report.final_relative_residual = r / rhs_norm if rhs_norm else float("nan")
-    report.solution_rank = fac.rank
-    report.true_residual = true_residual_sylv(A, B, C, D, fac.C, fac.D, "frobenius")
-    report.true_relative_residual = (
-        report.true_residual / rhs_norm if rhs_norm else float("nan")
-    )
-    report.counters = {"A": cnt_a.as_dict(), "B": cnt_b.as_dict()}
-    report.efficiency = cnt_a.matvecs / cnt_a.a_calls if cnt_a.a_calls else float("nan")
-    report.wall_time_s = time.perf_counter() - t0
+    report.finish(True, fac.rank, true_residual_sylv(A, B, C, D, fac.C, fac.D, "frobenius"),
+                  {"A": cnt_a, "B": cnt_b}, t0)
     return fac, report
 
 
@@ -350,12 +331,10 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
     t0 = time.perf_counter()
     counter = OpCounter()
     n, s = C.shape
-    rhs_norm = _sym_product_norm(C, np.eye(s), "frobenius")
     report = SolveReport(
         solver="sksm-two-pass", n=n, s=s, norm="frobenius", tol_res=tol_res,
-        tol_comp=None, memmax=None, k_max=None, seed=None,
+        tol_comp=None, memmax=None, k_max=None, rhs_norm=_product_norm(C, C, "frobenius"),
     )
-    report.rhs_norm = rhs_norm
 
     def lanczos_step(U_prev, U_cur, beta_prev):
         W = spmm(A, U_cur, counter)
@@ -394,10 +373,10 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
             break
         betas.append(beta)
         U_prev, U_cur, beta_prev = U_cur, Qn, beta
-    report.converged = converged
     report.iterations = m
 
     norm_a = estimate_norm2(A)
+    report.norm_estimate_a = report.norm_estimate_b = norm_a
     rule = TruncationRule(_solution_cut(tol_res, norm_a, norm_a), "spectral")
     WY, lam = _eig_by_magnitude(Y, rule)
     XL = np.zeros((n, WY.shape[1]))
@@ -409,20 +388,10 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
             Qn, _, beta = lanczos_step(U_prev, U_cur, beta_prev)
             U_prev, U_cur, beta_prev = U_cur, Qn, beta
     fac = SymLowRankFactor(XL, np.diag(lam))
-    report.final_residual = report.residual_history[-1]
-    report.final_relative_residual = (
-        report.final_residual / rhs_norm if rhs_norm else float("nan")
-    )
-    report.solution_rank = fac.rank
-    report.true_residual = true_residual_lyap(A, C, fac.C, fac.S, "frobenius")
-    report.true_relative_residual = (
-        report.true_residual / rhs_norm if rhs_norm else float("nan")
-    )
-    report.counters = {"A": counter.as_dict()}
-    report.efficiency = counter.matvecs / counter.a_calls if counter.a_calls else float("nan")
     report.peak_live_columns = 3 * s
     report.basis_dim = m * s
-    report.wall_time_s = time.perf_counter() - t0
+    report.finish(converged, fac.rank, true_residual_lyap(A, C, fac.C, fac.S, "frobenius"),
+                  {"A": counter}, t0)
     if verify and report.true_residual > 10 * max(report.final_residual, tol_res):
         raise LossOfOrthogonalityError(
             f"computed residual {report.final_residual:.3e} but actual residual "

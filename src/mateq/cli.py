@@ -142,7 +142,7 @@ def _run_solver(name, args, prob):
     lyap_form = D is None
     cfg = SolverConfig(
         memmax=args.memmax, k_max=args.max_restarts, tol_res=args.tol_res,
-        tol_comp=args.tol_comp, norm=_NORMS[args.norm], seed=args.seed,
+        tol_comp=args.tol_comp, norm=_NORMS[args.norm],
     )
     if name == "restarted-lyap":
         if not lyap_form:

@@ -11,17 +11,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatchError, SingularOperatorError
+from .linalg import _as_matrix
 
 __all__ = ["solve_sylvester_dense", "solve_lyapunov_ldlt", "kron_oracle"]
-
-
-def _check(M, name):
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be a matrix, got shape {M.shape}")
-    if M.size and not np.isfinite(M).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return M
 
 
 def solve_sylvester_dense(H, G, F):
@@ -31,9 +23,9 @@ def solve_sylvester_dense(H, G, F):
     Raises :class:`SingularOperatorError` when the spectra of H and -G*
     collide, detected through the residual of the computed solution.
     """
-    H = _check(H, "H")
-    G = _check(G, "G")
-    F = _check(F, "F")
+    H = _as_matrix(H, "H")
+    G = _as_matrix(G, "G")
+    F = _as_matrix(F, "F")
     k, l = H.shape[0], G.shape[0]
     if H.shape != (k, k) or G.shape != (l, l) or F.shape != (k, l):
         raise DimensionMismatchError(
@@ -71,9 +63,9 @@ def solve_lyapunov_ldlt(H, Ctil, S):
     second coefficient equal to H.  The result is symmetrized to remove
     roundoff drift.
     """
-    H = _check(H, "H")
-    Ctil = _check(Ctil, "Ctil")
-    S = _check(S, "S")
+    H = _as_matrix(H, "H")
+    Ctil = _as_matrix(Ctil, "Ctil")
+    S = _as_matrix(S, "S")
     k = H.shape[0]
     p = Ctil.shape[1]
     if H.shape != (k, k) or Ctil.shape[0] != k or S.shape != (p, p):
@@ -96,9 +88,9 @@ def kron_oracle(A, B, RHS):
     system directly.  Guarded to coefficient dimensions <= 64; intended as
     the ground truth for small-instance tests only.
     """
-    A = _check(A, "A")
-    B = _check(B, "B")
-    RHS = _check(RHS, "RHS")
+    A = _as_matrix(A, "A")
+    B = _as_matrix(B, "B")
+    RHS = _as_matrix(RHS, "RHS")
     k, l = A.shape[0], B.shape[0]
     if A.shape != (k, k) or B.shape != (l, l) or RHS.shape != (k, l):
         raise DimensionMismatchError(

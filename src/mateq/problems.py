@@ -11,34 +11,17 @@ stability guarantees reproducibility across platforms), optionally scaled so
 the low-rank product has unit Frobenius norm.
 """
 
-import dataclasses
-from dataclasses import dataclass
-
 import numpy as np
 
 from .sparse import SparseOperator
 
-__all__ = ["ProblemSpec", "laplacian_2d", "convdiff_3d", "random_rhs"]
+__all__ = ["laplacian_2d", "convdiff_3d", "random_rhs"]
 
 _FIELDS = {
     "wA": lambda x, y, z: (x * np.sin(x), y * np.cos(y), np.exp(z * z - 1.0)),
     "wB": lambda x, y, z: (y * z * (1.0 - x * x), 0.0 * x, np.exp(z)),
     "none": lambda x, y, z: (0.0 * x, 0.0 * y, 0.0 * z),
 }
-
-
-@dataclass
-class ProblemSpec:
-    """A benchmark problem instance for the CLI."""
-
-    kind: str  # laplacian2d | convdiff3d | file
-    n_grid: int = 0
-    eps: float = 0.01
-    field: str = "wA"
-    s: int = 3
-    seed: int = 0
-    normalize: bool = True
-    files: dict = dataclasses.field(default_factory=dict)
 
 
 def laplacian_2d(n_g):

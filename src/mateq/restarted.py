@@ -36,6 +36,7 @@ from .dense_eq import solve_lyapunov_ldlt, solve_sylvester_dense
 from .errors import MemoryBudgetError
 from .linalg import _qr_reduced_signed, svd
 from .residuals import (
+    _norm,
     explicit_residual_lyap,
     explicit_residual_sylv,
     residual_norm_lyap,
@@ -86,7 +87,6 @@ class SolverConfig:
     tol_comp: float | None = None
     tol_comp_res: float | None = None
     norm: str = "frobenius"
-    seed: int = 0
 
     def validate(self, s):
         if self.memmax < 4 * s:
@@ -134,7 +134,6 @@ class SolveReport:
     tol_comp: float | None
     memmax: int | None
     k_max: int | None
-    seed: int | None
     tol_comp_res: float | None = None
     converged: bool = False
     iterations: int = 0
@@ -166,6 +165,27 @@ class SolveReport:
 
     def to_dict(self):
         return dict(self.__dict__)
+
+    def finish(self, converged, solution_rank, true_residual, counters, t0):
+        """Fill in the end-of-solve fields that every solver reports.
+
+        ``counters`` maps operator names to their :class:`OpCounter`;
+        ``efficiency`` is A's matvecs per A-call and ``t0`` is the
+        ``time.perf_counter()`` value at the start of the solve.
+        """
+        self.converged = converged
+        self.final_residual = self.residual_history[-1] if self.residual_history else 0.0
+        self.final_relative_residual = self._relative(self.final_residual)
+        self.solution_rank = solution_rank
+        self.true_residual = true_residual
+        self.true_relative_residual = self._relative(true_residual)
+        self.counters = {name: cnt.as_dict() for name, cnt in counters.items()}
+        cnt_a = counters["A"]
+        self.efficiency = cnt_a.matvecs / cnt_a.a_calls if cnt_a.a_calls else float("nan")
+        self.wall_time_s = time.perf_counter() - t0
+
+    def _relative(self, value):
+        return value / self.rhs_norm if self.rhs_norm else float("nan")
 
 
 def _as_block(V):
@@ -201,19 +221,51 @@ def _product_norm(C, D, norm):
     """||C @ D.T|| without forming the product."""
     _, Rc = _qr_reduced_signed(C)
     _, Rd = _qr_reduced_signed(D)
-    core = Rc @ Rd.T
-    if norm == "frobenius":
-        return float(np.linalg.norm(core))
-    return float(np.linalg.norm(core, 2)) if core.size else 0.0
+    return _norm(Rc @ Rd.T, norm)
 
 
-def _sym_product_norm(C, S, norm):
-    """||C @ S @ C.T|| without forming the product."""
-    _, Rc = _qr_reduced_signed(C)
-    core = Rc @ S @ Rc.T
-    if norm == "frobenius":
-        return float(np.linalg.norm(core))
-    return float(np.linalg.norm(core, 2)) if core.size else 0.0
+def _open_cycle(report, sk, mk):
+    """Start the next cycle: residual rank ``sk``, step budget ``mk``."""
+    if mk < 1:
+        raise MemoryBudgetError(
+            f"cycle {len(report.cycle_starts)}: residual rank {sk} needs more than "
+            f"memmax = {report.memmax} columns"
+        )
+    report.cycle_budgets.append(mk)
+    report.cycle_starts.append(len(report.residual_history))
+
+
+def _close_cycle(report):
+    """Record how many inner iterations the cycle just ended took."""
+    report.cycle_inner_iterations.append(
+        len(report.residual_history) - report.cycle_starts[-1]
+    )
+
+
+def _close_run(report, peak):
+    """Totals over all cycles, and the attainable-residual bound they imply."""
+    report.iterations = len(report.residual_history)
+    report.restarts = max(len(report.cycle_starts) - 1, 0)
+    report.peak_live_columns = peak
+    report.residual_bound = eval_residual_bound(
+        report.tol_res, report.restarts, max(report.tol_comp, report.tol_comp_res),
+        report.norm_estimate_a, report.norm_estimate_b,
+    )
+
+
+def _new_report(solver, C, D, config, norm_a, norm_b, verify):
+    """Report for one restarted solve of right-hand side C D*, with its resolved tolerances."""
+    tol_sol, tol_res_fac = config.resolved_tolerances(norm_a, norm_b)
+    report = SolveReport(
+        solver=solver, n=C.shape[0], s=C.shape[1], norm=config.norm, tol_res=config.tol_res,
+        tol_comp=tol_sol, tol_comp_res=tol_res_fac, memmax=config.memmax,
+        k_max=config.k_max, norm_estimate_a=norm_a, norm_estimate_b=norm_b,
+        rhs_norm=_product_norm(C, D, config.norm),
+    )
+    if verify:
+        report.explicit_history = []
+        report.cycle_explicit_residuals = []
+    return report
 
 
 def _factor_pair(Y, rule):
@@ -256,40 +308,23 @@ def restarted_sylv(A, B, C, D, config, verify=False):
     cnt_a, cnt_b = OpCounter(), OpCounter()
     norm_a = estimate_norm2(A, _NORM_EST_ITERS, _NORM_EST_SEED)
     norm_b = estimate_norm2(B, _NORM_EST_ITERS, _NORM_EST_SEED)
-    tol_sol, tol_res_fac = config.resolved_tolerances(norm_a, norm_b)
-    rule_sol = TruncationRule(tol_sol, config.norm)
-    rule_res = TruncationRule(tol_res_fac, config.norm)
-    report = SolveReport(
-        solver="restarted-sylv", n=n, s=s, norm=config.norm, tol_res=config.tol_res,
-        tol_comp=tol_sol, tol_comp_res=tol_res_fac, memmax=config.memmax,
-        k_max=config.k_max, seed=config.seed,
-        norm_estimate_a=norm_a, norm_estimate_b=norm_b,
-    )
-    report.rhs_norm = _product_norm(C, D, config.norm)
-    if verify:
-        report.explicit_history = []
-        report.cycle_explicit_residuals = []
+    report = _new_report("restarted-sylv", C, D, config, norm_a, norm_b, verify)
+    rule_sol = TruncationRule(report.tol_comp, config.norm)
+    rule_res = TruncationRule(report.tol_comp_res, config.norm)
 
     XL = np.zeros((n, 0))
     XR = np.zeros((n, 0))
     Ck, Dk = C, D
     converged = False
     peak = 0
-    cycles_run = 0
 
-    for k in range(config.k_max + 1):
+    for _ in range(config.k_max + 1):
         sk = Ck.shape[1]
         if sk == 0:
             converged = True
             break
         mk = config.memmax // (2 * sk) - 2
-        if mk < 1:
-            raise MemoryBudgetError(
-                f"cycle {k}: residual rank {sk} needs more than memmax = {config.memmax} columns"
-            )
-        cycles_run += 1
-        report.cycle_budgets.append(mk)
-        report.cycle_starts.append(len(report.residual_history))
+        _open_cycle(report, sk, mk)
         dec_a = arnoldi_init(A, Ck, cnt_a, max_steps=mk)
         dec_b = arnoldi_init(Bt, Dk, cnt_b, max_steps=mk)
         rhs_core = dec_a.r0 @ dec_b.r0.T
@@ -315,9 +350,7 @@ def restarted_sylv(A, B, C, D, config, verify=False):
                 break
             if dec_a.breakdown and dec_b.breakdown:
                 break
-        report.cycle_inner_iterations.append(
-            len(report.residual_history) - report.cycle_starts[-1]
-        )
+        _close_cycle(report)
         YL, YR = _factor_pair(Y, rule_sol)
         XL = np.hstack([XL, dec_a.basis @ YL])
         XR = np.hstack([XR, dec_b.basis @ YR])
@@ -338,25 +371,10 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         report.residual_ranks.append(Ck.shape[1])
         dec_a = dec_b = None  # release both bases before the next cycle allocates
 
-    report.converged = converged
-    report.iterations = len(report.residual_history)
-    report.restarts = max(cycles_run - 1, 0)
-    report.final_residual = report.residual_history[-1] if report.residual_history else 0.0
-    report.final_relative_residual = (
-        report.final_residual / report.rhs_norm if report.rhs_norm else float("nan")
-    )
-    report.solution_rank = XL.shape[1]
-    report.true_residual = true_residual_sylv(A, B, C, D, XL, XR, config.norm)
-    report.true_relative_residual = (
-        report.true_residual / report.rhs_norm if report.rhs_norm else float("nan")
-    )
-    report.counters = {"A": cnt_a.as_dict(), "B": cnt_b.as_dict()}
-    report.efficiency = cnt_a.matvecs / cnt_a.a_calls if cnt_a.a_calls else float("nan")
-    report.residual_bound = eval_residual_bound(
-        config.tol_res, report.restarts, max(tol_sol, tol_res_fac), norm_a, norm_b
-    )
-    report.peak_live_columns = peak
-    report.wall_time_s = time.perf_counter() - t0
+    _close_run(report, peak)
+    report.finish(converged, XL.shape[1],
+                  true_residual_sylv(A, B, C, D, XL, XR, config.norm),
+                  {"A": cnt_a, "B": cnt_b}, t0)
     return LowRankFactorPair(XL, XR), report
 
 
@@ -380,20 +398,10 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
     t0 = time.perf_counter()
     cnt_a = OpCounter()
     norm_a = estimate_norm2(A, _NORM_EST_ITERS, _NORM_EST_SEED)
-    tol_sol, tol_res_fac = config.resolved_tolerances(norm_a, norm_a)
-    rule_sol = TruncationRule(tol_sol, config.norm)
-    rule_res = TruncationRule(tol_res_fac, config.norm)
-    report = SolveReport(
-        solver="restarted-lyap", n=n, s=s, norm=config.norm, tol_res=config.tol_res,
-        tol_comp=tol_sol, tol_comp_res=tol_res_fac, memmax=config.memmax,
-        k_max=config.k_max, seed=config.seed,
-        norm_estimate_a=norm_a, norm_estimate_b=norm_a,
-    )
+    report = _new_report("restarted-lyap", C, C, config, norm_a, norm_a, verify)
+    rule_sol = TruncationRule(report.tol_comp, config.norm)
+    rule_res = TruncationRule(report.tol_comp_res, config.norm)
     report.min_eigenvalues = []
-    report.rhs_norm = _sym_product_norm(C, np.eye(s), config.norm)
-    if verify:
-        report.explicit_history = []
-        report.cycle_explicit_residuals = []
 
     XL = np.zeros((n, 0))
     SX = np.zeros((0, 0))
@@ -401,21 +409,14 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
     Dmid = np.eye(s)
     converged = False
     peak = 0
-    cycles_run = 0
 
-    for k in range(config.k_max + 1):
+    for _ in range(config.k_max + 1):
         sk = Ck.shape[1]
         if sk == 0:
             converged = True
             break
         mk = config.memmax // sk - 1
-        if mk < 1:
-            raise MemoryBudgetError(
-                f"cycle {k}: residual rank {sk} needs more than memmax = {config.memmax} columns"
-            )
-        cycles_run += 1
-        report.cycle_budgets.append(mk)
-        report.cycle_starts.append(len(report.residual_history))
+        _open_cycle(report, sk, mk)
         dec = arnoldi_init(A, Ck, cnt_a, max_steps=mk)
         flagconv = False
         Y = None
@@ -438,9 +439,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
                 break
             if dec.breakdown:
                 break
-        report.cycle_inner_iterations.append(
-            len(report.residual_history) - report.cycle_starts[-1]
-        )
+        _close_cycle(report)
         WY, lam = _eig_by_magnitude(Y, rule_sol)
         Snew = np.zeros((SX.shape[0] + lam.size,) * 2)
         Snew[: SX.shape[0], : SX.shape[0]] = SX
@@ -473,23 +472,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
     if project_spsd:
         final = psd_project(final)
         XL, SX = final.C, final.S
-    report.converged = converged
-    report.iterations = len(report.residual_history)
-    report.restarts = max(cycles_run - 1, 0)
-    report.final_residual = report.residual_history[-1] if report.residual_history else 0.0
-    report.final_relative_residual = (
-        report.final_residual / report.rhs_norm if report.rhs_norm else float("nan")
-    )
-    report.solution_rank = XL.shape[1]
-    report.true_residual = true_residual_lyap(A, C, XL, SX, config.norm)
-    report.true_relative_residual = (
-        report.true_residual / report.rhs_norm if report.rhs_norm else float("nan")
-    )
-    report.counters = {"A": cnt_a.as_dict()}
-    report.efficiency = cnt_a.matvecs / cnt_a.a_calls if cnt_a.a_calls else float("nan")
-    report.residual_bound = eval_residual_bound(
-        config.tol_res, report.restarts, max(tol_sol, tol_res_fac), norm_a, norm_a
-    )
-    report.peak_live_columns = peak
-    report.wall_time_s = time.perf_counter() - t0
+    _close_run(report, peak)
+    report.finish(converged, XL.shape[1], true_residual_lyap(A, C, XL, SX, config.norm),
+                  {"A": cnt_a}, t0)
     return final, report

@@ -1,0 +1,70 @@
+"""Report fields that every solver fills in through ``SolveReport.finish``."""
+
+import numpy as np
+import pytest
+
+from mateq import (
+    InnerSolverConfig,
+    SolverConfig,
+    convdiff_3d,
+    eksm_lyap,
+    eksm_sylv,
+    estimate_norm2,
+    laplacian_2d,
+    random_rhs,
+    restarted_lyap,
+    restarted_sylv,
+    sksm_two_pass,
+)
+
+LAP = laplacian_2d(10)
+CD_A = convdiff_3d(4, 1.0, "wA")
+CD_B = convdiff_3d(4, 1.0, "wB")
+C_LAP = random_rhs(LAP.n, 2, seed=3, normalize=True)
+C_CD, D_CD = random_rhs(CD_A.n, 2, seed=4, normalize=True, pair=True)
+CG = InnerSolverConfig("block-cg", 1e-10)
+GMRES = InnerSolverConfig("block-gmres", 1e-10)
+
+SOLVES = {
+    "restarted-lyap": lambda: restarted_lyap(LAP, C_LAP, SolverConfig(memmax=32, tol_res=1e-8)),
+    "restarted-lyap-k_max": lambda: restarted_lyap(
+        LAP, C_LAP, SolverConfig(memmax=32, tol_res=1e-8, k_max=2)),
+    "restarted-sylv": lambda: restarted_sylv(
+        CD_A, CD_B, C_CD, D_CD, SolverConfig(memmax=48, tol_res=1e-8)),
+    "eksm-lyap": lambda: eksm_lyap(LAP, C_LAP, CG, 1e-8, 60),
+    "eksm-sylv": lambda: eksm_sylv(CD_A, CD_B, C_CD, D_CD, GMRES, GMRES, 1e-8, 40),
+    "sksm-two-pass": lambda: sksm_two_pass(LAP, C_LAP, 1e-8, 100),
+}
+
+
+def _problem(name):
+    """(A, B, C, D) of the equation the named solve runs on."""
+    if name.endswith("sylv"):
+        return CD_A, CD_B, C_CD, D_CD
+    return LAP, LAP, C_LAP, C_LAP
+
+
+@pytest.mark.parametrize("name", SOLVES)
+def test_finish_identities(name):
+    fac, rep = SOLVES[name]()
+    A, B, C, D = _problem(name)
+    rhs_norm = np.linalg.norm(C @ D.T)
+    assert abs(rep.rhs_norm - rhs_norm) <= 1e-12 * rhs_norm
+    assert rep.final_residual == rep.residual_history[-1]
+    assert rep.final_relative_residual == rep.final_residual / rep.rhs_norm
+    assert rep.true_relative_residual == rep.true_residual / rep.rhs_norm
+    a = rep.counters["A"]
+    assert rep.efficiency == a["matvecs"] / a["a_calls"]
+    assert rep.solution_rank == fac.C.shape[1]
+    assert rep.wall_time_s > 0
+    # every solver reports the estimates it computed (the baselines use them
+    # for their solution cut), not NaN placeholders
+    assert rep.norm_estimate_a == estimate_norm2(A)
+    assert rep.norm_estimate_b == estimate_norm2(B)
+    if name.startswith("restarted"):
+        cycles = rep.restarts + 1
+        assert len(rep.cycle_budgets) == len(rep.cycle_starts) == cycles
+        assert len(rep.cycle_inner_iterations) == cycles
+        assert sum(rep.cycle_inner_iterations) == rep.iterations
+        assert rep.restarts >= 1
+    assert rep.converged == (name != "restarted-lyap-k_max")
