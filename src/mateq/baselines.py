@@ -347,7 +347,7 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
         return Qn, alpha, beta
 
     U1, R0 = qr_economy(C)
-    alphas, betas = [], []
+    H = np.zeros((0, 0))
     U_prev, U_cur = None, U1
     beta_prev = None
     Y = None
@@ -355,13 +355,11 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
     converged = False
     for j in range(1, max_m + 1):
         Qn, alpha, beta = lanczos_step(U_prev, U_cur, beta_prev)
-        alphas.append(alpha)
-        H = np.zeros((j * s, j * s))
-        for i, a in enumerate(alphas):
-            H[i * s : (i + 1) * s, i * s : (i + 1) * s] = a
-        for i, b in enumerate(betas):
-            H[(i + 1) * s : (i + 2) * s, i * s : (i + 1) * s] = b
-            H[i * s : (i + 1) * s, (i + 1) * s : (i + 2) * s] = b.T
+        H = np.pad(H, ((0, s), (0, s)))
+        H[-s:, -s:] = alpha
+        if beta_prev is not None:
+            H[-s:, -2 * s : -s] = beta_prev
+            H[-2 * s : -s, -s:] = beta_prev.T
         Ctil = np.zeros((j * s, s))
         Ctil[:s, :] = R0
         Y = solve_lyapunov_ldlt(H, Ctil, np.eye(s))
@@ -371,7 +369,6 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
         if r <= tol_res:
             converged = True
             break
-        betas.append(beta)
         U_prev, U_cur, beta_prev = U_cur, Qn, beta
     report.iterations = m
 

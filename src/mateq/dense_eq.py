@@ -1,10 +1,15 @@
 """Direct solvers for the small projected matrix equations.
 
 ``solve_sylvester_dense`` runs the Bartels-Stewart method (real Schur forms
-plus back substitution, via LAPACK's ``trsyl``).  ``kron_oracle`` is the
-independent brute-force reference: it assembles the Kronecker-lifted linear
-system and solves it densely.  The two take entirely different code paths so
-they can check each other in tests.
+plus back substitution, via LAPACK's ``trsyl``).  ``solve_lyapunov_ldlt``
+takes one of two routes, chosen by its coefficient: an exactly symmetric H
+(``H == H.T`` entry for entry, as the block Lanczos matrix of
+``sksm_two_pass`` is) is solved in closed form from one symmetric
+eigendecomposition; any other H goes through Bartels-Stewart.  Both routes
+pass the same post-solve checks.  ``kron_oracle`` is the independent
+brute-force reference: it assembles the Kronecker-lifted linear system and
+solves it densely.  It takes an entirely different code path so it can check
+the other two in tests.
 """
 
 import numpy as np
@@ -37,12 +42,21 @@ def solve_sylvester_dense(H, G, F):
         Y = scipy.linalg.solve_sylvester(H, G.T, -F)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SingularOperatorError(f"Bartels-Stewart solve failed: {exc}") from exc
+    _check_solution(H, G, F, Y, "Bartels-Stewart")
+    return Y
+
+
+def _check_solution(H, G, F, Y, method):
+    """Raise :class:`SingularOperatorError` unless Y solves H Y + Y G* + F = 0.
+
+    Catches non-finite entries, a 1/eps-scale solution (the solve divided by
+    a (near-)zero eigenvalue sum of H and G) and a large solve residual.
+    """
     if not np.isfinite(Y).all():
-        raise SingularOperatorError("Bartels-Stewart produced non-finite entries")
+        raise SingularOperatorError(f"{method} produced non-finite entries")
     coeff = np.linalg.norm(H) + np.linalg.norm(G)
     nY = np.linalg.norm(Y)
     nF = np.linalg.norm(F)
-    # a 1/eps-scale solution means trsyl perturbed a (near-)zero eigenvalue sum
     if nY * 1e-13 * coeff > nF:
         raise SingularOperatorError(
             f"Sylvester operator numerically singular: ||Y|| = {nY:.3e} for ||F|| = {nF:.3e}"
@@ -52,16 +66,19 @@ def solve_sylvester_dense(H, G, F):
         raise SingularOperatorError(
             f"Sylvester operator numerically singular: solve residual {resid:.3e}"
         )
-    return Y
 
 
 def solve_lyapunov_ldlt(H, Ctil, S):
     """Solve H @ Y + Y @ H.T + Ctil @ S @ Ctil.T = 0 for symmetric Y.
 
-    ``S`` is a small symmetric middle factor (possibly indefinite); the
-    right-hand side is formed densely and handed to Bartels-Stewart with the
-    second coefficient equal to H.  The result is symmetrized to remove
-    roundoff drift.
+    ``S`` is a small symmetric middle factor (possibly indefinite).  When H
+    is exactly symmetric, one eigendecomposition H = Q diag(lam) Q* gives Y
+    in closed form: with G = Q* Ctil, Y = -Q ((G S G*) / (lam_i + lam_j)) Q*.
+    Otherwise the right-hand side is formed densely and handed to
+    Bartels-Stewart with the second coefficient equal to H.  Either way the
+    result is symmetrized to remove roundoff drift, and a spectrum of H that
+    meets its own negative raises :class:`SingularOperatorError` unless the
+    right-hand side is consistent with it.
     """
     H = _as_matrix(H, "H")
     Ctil = _as_matrix(Ctil, "Ctil")
@@ -75,10 +92,25 @@ def solve_lyapunov_ldlt(H, Ctil, S):
     nS = np.linalg.norm(S)
     if np.linalg.norm(S - S.T) > 1e-12 * max(nS, 1e-300):
         raise ValueError("middle factor S must be symmetric")
-    W = Ctil @ (0.5 * (S + S.T)) @ Ctil.T
+    S = 0.5 * (S + S.T)
+    W = Ctil @ S @ Ctil.T
     W = 0.5 * (W + W.T)
-    Y = solve_sylvester_dense(H, H, W)
-    return 0.5 * (Y + Y.T)
+    if not np.array_equal(H, H.T):
+        Y = solve_sylvester_dense(H, H, W)
+        return 0.5 * (Y + Y.T)
+    # eigenvector signs and order cancel in Y, so linalg.eig_sym's
+    # conventions would buy nothing here
+    lam, Q = np.linalg.eigh(H)
+    G = Q.T @ Ctil
+    M = G @ S @ G.T
+    denom = -(lam[:, None] + lam[None, :])
+    # an exactly zero eigenvalue sum gets the zero entry, as trsyl's perturbed
+    # pivot does; the residual check rejects it unless that entry of M is zero
+    Z = np.divide(M, denom, out=np.zeros_like(M), where=denom != 0)
+    Y = Q @ Z @ Q.T
+    Y = 0.5 * (Y + Y.T)
+    _check_solution(H, H, W, Y, "symmetric eigensolve")
+    return Y
 
 
 def kron_oracle(A, B, RHS):

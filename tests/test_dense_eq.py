@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mateq import kron_oracle, solve_lyapunov_ldlt, solve_sylvester_dense
+from mateq import (
+    kron_oracle,
+    laplacian_2d,
+    random_rhs,
+    sksm_two_pass,
+    solve_lyapunov_ldlt,
+    solve_sylvester_dense,
+)
 from mateq.errors import DimensionMismatchError, SingularOperatorError
 
 from conftest import rng_for, spd_dense, stable_dense
@@ -80,17 +88,88 @@ def test_lyapunov_zero_middle():
     assert np.allclose(Y, 0.0)
 
 
+def _swap_middle(p):
+    S = np.zeros((2 * p, 2 * p))
+    S[:p, p:] = np.eye(p)
+    S[p:, :p] = np.eye(p)
+    return S
+
+
 def test_lyapunov_swap_middle_matches_oracle():
     rng = rng_for(6)
     H = -spd_dense(rng, 8)
     Ctil = rng.standard_normal((8, 4))
-    S = np.zeros((4, 4))
-    S[:2, 2:] = np.eye(2)
-    S[2:, :2] = np.eye(2)
+    S = _swap_middle(2)
     Y = solve_lyapunov_ldlt(H, Ctil, S)
     Yo = kron_oracle(H, H.T, Ctil @ S @ Ctil.T)
     assert np.linalg.norm(Y - Yo) <= 1e-10 * np.linalg.norm(Yo)
     assert np.linalg.norm(Y - Y.T) <= 1e-12 * max(np.linalg.norm(Y), 1e-30)
+
+
+def _symmetric_definite(rng, k):
+    return -spd_dense(rng, k)
+
+
+def _symmetric_indefinite(rng, k):
+    # eigenvalues of both signs whose pairwise sums stay at least 0.5 from zero
+    lam = np.concatenate([-rng.uniform(2.0, 4.0, size=k - k // 2),
+                          rng.uniform(0.5, 1.5, size=k // 2)])
+    Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    H = (Q * lam) @ Q.T
+    return 0.5 * (H + H.T)
+
+
+@pytest.mark.parametrize("make_h", [_symmetric_definite, _symmetric_indefinite])
+def test_lyapunov_symmetric_route_matches_oracle(make_h):
+    rng = rng_for(9)
+    H = make_h(rng, 10)
+    assert np.array_equal(H, H.T)
+    Ctil = rng.standard_normal((10, 4))
+    S = _swap_middle(2)
+    Y = solve_lyapunov_ldlt(H, Ctil, S)
+    W = Ctil @ S @ Ctil.T
+    Yo = kron_oracle(H, H.T, W)
+    assert np.linalg.norm(Y - Yo) <= 1e-10 * np.linalg.norm(Yo)
+    assert np.array_equal(Y, Y.T)
+    Ybs = solve_sylvester_dense(H, H, W)
+    Ybs = 0.5 * (Ybs + Ybs.T)
+    assert np.linalg.norm(Y - Ybs) <= 1e-12 * np.linalg.norm(Ybs)
+
+
+def test_lyapunov_nonsymmetric_matches_oracle():
+    rng = rng_for(10)
+    H = -stable_dense(rng, 9)
+    assert not np.array_equal(H, H.T)
+    Ctil = rng.standard_normal((9, 4))
+    S = _swap_middle(2)
+    Y = solve_lyapunov_ldlt(H, Ctil, S)
+    Yo = kron_oracle(H, H.T, Ctil @ S @ Ctil.T)
+    assert np.linalg.norm(Y - Yo) <= 1e-10 * np.linalg.norm(Yo)
+    assert np.linalg.norm(Y - Y.T) <= 1e-12 * max(np.linalg.norm(Y), 1e-30)
+
+
+def test_lyapunov_detects_singular_operator():
+    H = np.diag([1.0, -1.0])  # lambda_1 + lambda_2 = 0
+    with pytest.raises(SingularOperatorError):
+        solve_lyapunov_ldlt(H, np.ones((2, 1)), np.eye(1))
+    # a right-hand side with no component on the singular pair is consistent
+    Y = solve_lyapunov_ldlt(H, np.eye(2), np.eye(2))
+    assert np.array_equal(Y, np.diag([-0.5, 0.5]))
+
+
+def test_symmetric_lyapunov_needs_no_schur_forms(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exactly symmetric H must not reach Bartels-Stewart")
+
+    monkeypatch.setattr(scipy.linalg, "solve_sylvester", refuse)
+    rng = rng_for(11)
+    H = -spd_dense(rng, 6)
+    Ctil = rng.standard_normal((6, 2))
+    Y = solve_lyapunov_ldlt(H, Ctil, np.eye(2))
+    assert np.linalg.norm(H @ Y + Y @ H + Ctil @ Ctil.T) <= 1e-12 * np.linalg.norm(Ctil) ** 2
+    A = laplacian_2d(8)
+    _, rep = sksm_two_pass(A, random_rhs(A.n, 2, seed=0, normalize=True), 1e-8, 60)
+    assert rep.converged
 
 
 def test_lyapunov_rejects_asymmetric_middle():
