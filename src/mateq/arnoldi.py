@@ -65,6 +65,11 @@ class ArnoldiDecomposition:
         return self._Q[:, : self.m * self.s]
 
     @property
+    def extended_basis(self):
+        """Orthonormal basis of the first m+1 blocks, [U_m, U_{m+1}]; before a breakdown only."""
+        return self._Q[:, : (self.m + 1) * self.s]
+
+    @property
     def next_block(self):
         """The (m+1)-th block; None after a breakdown."""
         if self.breakdown:

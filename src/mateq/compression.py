@@ -1,12 +1,25 @@
 """Rank truncation of low-rank factorizations.
 
-Two entry points: :func:`compress` for two-sided products ``C @ D.T`` (QR of
-both factors, SVD of the small core, square-root-balanced output) and
-:func:`compress_sym` for symmetric products ``C @ S @ C.T`` (QR of the
-factor, eigendecomposition of the small core, orthonormal output with a
+Two entry points: :func:`compress` for two-sided products ``C @ D.T``
+(orthonormalize both factors, SVD of the small core) and
+:func:`compress_sym` for symmetric products ``C @ S @ C.T`` (orthonormalize
+the factor, eigendecomposition of the small core, orthonormal output with a
 diagonal, possibly indefinite middle).  :func:`psd_project` keeps only the
 nonnegative eigenvalue part, which is the nearest symmetric positive
 semidefinite matrix in both the Frobenius and spectral norms.
+
+Both entry points accept a tall factor written in coefficient space, as a
+:class:`BasisFactor` ``[Q, Z] @ K``: ``Q`` is a basis already known to be
+orthonormal, ``Z`` holds extra columns and ``K`` is a small coefficient
+matrix.  Only ``Z`` is orthogonalized: it is projected against ``Q``, its
+remainder is the one tall QR (no wider than ``Z``), and that QR factor is
+projected against ``Q`` once more.  The SVD or eigendecomposition then runs
+on a core as wide as the factor, and the output ``[Q, Q2] @ (small)`` is
+formed by matrix products; it is as orthonormal as ``Q`` is.  A plain array
+factor is the special case with an empty ``Q``.  The restarted drivers use
+this for their residual factors, which lie in the Arnoldi basis (no tall QR
+at all), and for their solution updates, whose previous factors are
+orthonormal.
 
 Truncation rules: under the ``spectral`` rule every discarded singular value
 (eigenvalue magnitude) is below the tolerance; under the ``frobenius`` rule
@@ -19,10 +32,12 @@ import numpy as np
 
 from .linalg import _qr_reduced_signed, eig_sym, svd
 
-__all__ = ["TruncationRule", "LowRankFactorPair", "SymLowRankFactor",
+__all__ = ["TruncationRule", "LowRankFactorPair", "SymLowRankFactor", "BasisFactor",
            "compress", "compress_sym", "psd_project"]
 
 _NORMS = ("spectral", "frobenius")
+# lean ||Q.T @ Q2|| up to which one projection restores orthonormality (to its square)
+_LEAN_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -93,6 +108,82 @@ class SymLowRankFactor:
         return self.C @ self.S @ self.C.T
 
 
+@dataclass(frozen=True)
+class BasisFactor:
+    """Tall factor ``[Q, Z] @ K`` written in coefficient space.
+
+    ``Q`` (n x q) has orthonormal columns, ``Z`` (n x z) holds any extra
+    columns and ``K`` ((q + z) x w) is the coefficient matrix; the factor has
+    w columns.  :meth:`plain` wraps an ordinary n x w factor (q = 0).
+    """
+
+    Q: np.ndarray
+    Z: np.ndarray
+    K: np.ndarray
+
+    def __post_init__(self):
+        Q, Z, K = self.Q, self.Z, self.K
+        if Q.ndim != 2 or Z.ndim != 2 or Q.shape[0] != Z.shape[0]:
+            raise ValueError(f"Q and Z must share a row count, got {Q.shape} and {Z.shape}")
+        if K.ndim != 2 or K.shape[0] != Q.shape[1] + Z.shape[1]:
+            raise ValueError(f"K needs {Q.shape[1] + Z.shape[1]} rows, got shape {K.shape}")
+
+    @classmethod
+    def plain(cls, C):
+        return cls(np.zeros((C.shape[0], 0)), C, np.eye(C.shape[1]))
+
+    def to_dense(self):
+        q = self.Q.shape[1]
+        return self.Q @ self.K[:q] + self.Z @ self.K[q:]
+
+
+def _orthonormalize(f):
+    """``Q2``, ``U``, ``T`` with ``[Q, Z] @ K = [Q, Q2] @ U @ T``.
+
+    ``[Q, Q2]`` and ``U`` have orthonormal columns and ``T`` is no taller
+    than it is wide, so the truncation core built from ``T`` has the
+    factor's width, not the basis's.  ``Z`` is projected against ``Q`` and
+    its remainder is the one tall QR.  That QR factor leans on ``Q`` by
+    ``G = Q.T @ Q2``, far above roundoff when the remainder is
+    ill-conditioned (new columns nearly inside ``span(Q)``), so it is
+    projected once more; afterwards ``[Q, Q2]`` is orthonormal up to
+    ``||G||**2``.  Only when ``G`` is too large for that is ``Q2`` factored
+    a second time.
+    """
+    Q, Z, K = f.Q, f.Z, f.K
+    q = Q.shape[1]
+    if Z.shape[1] == 0:
+        Q2, R = Z, K
+    elif q == 0:
+        Q2, R2 = _qr_reduced_signed(Z)
+        R = R2 @ K
+    else:
+        P = Q.T @ Z
+        Q2, R2 = _qr_reduced_signed(Z - Q @ P)
+        G = Q.T @ Q2
+        Q2 -= Q @ G
+        P += G @ R2  # Z = Q P + Q2 R2 still holds
+        if np.linalg.norm(G) > _LEAN_TOL:
+            Q2, Rg = _qr_reduced_signed(Q2)
+            R2 = Rg @ R2
+        R = np.vstack([K[:q] + P @ K[q:], R2 @ K[q:]])
+    if R.shape[0] > R.shape[1]:
+        U, T = np.linalg.qr(R)
+        return Q2, U, T
+    return Q2, np.eye(R.shape[0]), R
+
+
+def _combine(Q, Q2, W):
+    """``[Q, Q2] @ W`` without forming ``[Q, Q2]``."""
+    q = Q.shape[1]
+    if q == 0:
+        return Q2 @ W
+    out = Q @ W[:q]
+    if Q2.shape[1]:
+        out += Q2 @ W[q:]
+    return out
+
+
 def _keep_count(values, rule):
     """Number of leading entries kept from magnitude-descending ``values``."""
     values = np.abs(values)
@@ -104,26 +195,38 @@ def _keep_count(values, rule):
     return keep
 
 
-def compress(pair, rule):
-    """Truncate a two-sided low-rank product per Algorithm-style QR + SVD.
+def _balanced(U, sig, V):
+    """The pair ``(U sqrt(sig), V sqrt(sig))``, scaled in place."""
+    root = np.sqrt(sig)
+    U *= root
+    V *= root
+    return LowRankFactorPair(U, V)
 
-    Returns a new pair with square-root-balanced factors; the dropped part is
-    bounded by ``rule.tolerance`` in the rule's norm.  A product entirely
-    below the tolerance comes back with zero columns.
+
+def compress(pair, rule):
+    """Truncate a two-sided low-rank product through the SVD of a small core.
+
+    ``pair`` is a :class:`LowRankFactorPair`, or a ``(left, right)`` tuple of
+    :class:`BasisFactor` for ``left @ right.T``.  A LowRankFactorPair comes
+    back as a new pair with square-root-balanced factors (zero columns when
+    the whole product is below the tolerance); a BasisFactor tuple comes back
+    as the truncated SVD ``(U, sigma, V)`` with orthonormal ``U`` and ``V``.
+    Either way the dropped part is bounded by ``rule.tolerance`` in the
+    rule's norm.
     """
     if not isinstance(rule, TruncationRule):
         raise TypeError("rule must be a TruncationRule")
-    n = pair.C.shape[0]
-    if pair.rank == 0:
-        return pair
-    Qc, Rc = _qr_reduced_signed(pair.C)
-    Qd, Rd = _qr_reduced_signed(pair.D)
-    U, sig, Vt = svd(Rc @ Rd.T)
+    if isinstance(pair, LowRankFactorPair):
+        if pair.rank == 0:
+            return pair
+        return _balanced(*compress((BasisFactor.plain(pair.C), BasisFactor.plain(pair.D)), rule))
+    left, right = pair
+    Qc, Uc, Tc = _orthonormalize(left)
+    Qd, Ud, Td = _orthonormalize(right)
+    U, sig, Vt = svd(Tc @ Td.T)
     keep = _keep_count(sig, rule)
-    if keep == 0:
-        return LowRankFactorPair(np.zeros((n, 0)), np.zeros((pair.D.shape[0], 0)))
-    root = np.sqrt(sig[:keep])
-    return LowRankFactorPair(Qc @ (U[:, :keep] * root), Qd @ (Vt[:keep].T * root))
+    return (_combine(left.Q, Qc, Uc @ U[:, :keep]), sig[:keep],
+            _combine(right.Q, Qd, Ud @ Vt[:keep].T))
 
 
 def _eig_by_magnitude(core, rule):
@@ -139,20 +242,22 @@ def _eig_by_magnitude(core, rule):
 def compress_sym(fac, rule):
     """Truncate a symmetric product; output has orthonormal C and diagonal S.
 
-    Eigenvalues are kept by magnitude so an indefinite middle factor keeps its
-    signs real (no complex arithmetic is introduced).
+    ``fac`` is a :class:`SymLowRankFactor`, or a ``(factor, S)`` tuple with a
+    :class:`BasisFactor` for ``factor @ S @ factor.T``.  Eigenvalues are kept
+    by magnitude so an indefinite middle factor keeps its signs real (no
+    complex arithmetic is introduced).
     """
     if not isinstance(rule, TruncationRule):
         raise TypeError("rule must be a TruncationRule")
-    n = fac.C.shape[0]
-    if fac.rank == 0:
-        return fac
-    Qc, Rc = _qr_reduced_signed(fac.C)
-    core = Rc @ fac.S @ Rc.T
+    if isinstance(fac, SymLowRankFactor):
+        if fac.rank == 0:
+            return fac
+        fac = (BasisFactor.plain(fac.C), fac.S)
+    factor, S = fac
+    Q2, U, T = _orthonormalize(factor)
+    core = T @ S @ T.T
     W, lam = _eig_by_magnitude(0.5 * (core + core.T), rule)
-    if lam.size == 0:
-        return SymLowRankFactor(np.zeros((n, 0)), np.zeros((0, 0)))
-    return SymLowRankFactor(Qc @ W, np.diag(lam))
+    return SymLowRankFactor(_combine(factor.Q, Q2, U @ W), np.diag(lam))
 
 
 def psd_project(fac):

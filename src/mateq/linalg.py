@@ -27,20 +27,19 @@ def _as_matrix(M, name="matrix"):
 def _fix_vector_signs(U, *companions):
     """Flip column signs so the first nonzero component of each column is >= 0.
 
+    "Nonzero" means above ``1e-12`` times the column's largest magnitude.
     ``companions`` receive the same flips on their rows (for V* in an SVD).
     """
     U = np.array(U, copy=True)
     out = [np.array(c, copy=True) for c in companions]
-    for i in range(U.shape[1]):
-        col = U[:, i]
-        big = np.abs(col).max(initial=0.0)
-        if big == 0.0:
-            continue
-        nz = np.nonzero(np.abs(col) > 1e-12 * big)[0]
-        if nz.size and col[nz[0]] < 0:
-            U[:, i] = -col
-            for c in out:
-                c[i, :] = -c[i, :]
+    if U.shape[0] == 0:
+        return (U, *out) if out else U
+    mag = np.abs(U)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    flip = U[first, np.arange(U.shape[1])] < 0
+    U[:, flip] = -U[:, flip]
+    for c in out:
+        c[flip, :] = -c[flip, :]
     return (U, *out) if out else U
 
 
@@ -49,7 +48,9 @@ def _qr_reduced_signed(M):
     Q, R = np.linalg.qr(M, mode="reduced")
     d = np.sign(np.diagonal(R)).copy()
     d[d == 0] = 1.0
-    return Q * d, R * d[:, None]
+    Q *= d
+    R *= d[:, None]
+    return Q, R
 
 
 def qr_economy(M):

@@ -9,15 +9,14 @@ case the two blocks coincide up to transposition, giving the sqrt(2) factor.
 
 The ``true_residual_*`` helpers measure the residual of a factored approximate
 solution at full problem size without ever forming an n x n matrix: the
-residual is a short sum of outer products, so a QR of the stacked factors
-reduces the norm to a small core.  Operator applications here are diagnostic
-and not charged to any counter.  ``explicit_residual_*`` form the dense
-residual outright and are meant for small-n verification only.
+residual is a short sum of outer products, so the R factor of a QR of the
+stacked factors reduces the norm to a small core (the norm does not depend
+on R's row signs, so Q is never formed).  Operator applications here are
+diagnostic and not charged to any counter.  ``explicit_residual_*`` form the
+dense residual outright and are meant for small-n verification only.
 """
 
 import numpy as np
-
-from .linalg import _qr_reduced_signed
 
 __all__ = [
     "residual_norm_sylv",
@@ -68,8 +67,8 @@ def true_residual_sylv(A, B, C, D, XL, XR, norm="frobenius"):
     Bt = B.transpose()
     WL = np.hstack([A.apply(XL) if XL.shape[1] else XL, XL, C])
     WR = np.hstack([XR, Bt.apply(XR) if XR.shape[1] else XR, D])
-    _, RL = _qr_reduced_signed(WL)
-    _, RR = _qr_reduced_signed(WR)
+    RL = np.linalg.qr(WL, mode="r")
+    RR = np.linalg.qr(WR, mode="r")
     return _norm(RL @ RR.T, norm)
 
 
@@ -78,7 +77,7 @@ def true_residual_lyap(A, C, XL, S, norm="frobenius"):
     r = XL.shape[1]
     s = C.shape[1]
     W = np.hstack([A.apply(XL) if r else XL, XL, C])
-    _, R = _qr_reduced_signed(W)
+    R = np.linalg.qr(W, mode="r")
     K = np.zeros((2 * r + s, 2 * r + s))
     K[:r, r : 2 * r] = S
     K[r : 2 * r, :r] = S

@@ -8,6 +8,14 @@ product assembled from the boundary blocks of the Arnoldi relation, so it is
 compressed and used as the next cycle's right-hand side.  The accumulated
 solution factors are compressed after every cycle as well.
 
+Both compressions run in coefficient space (:class:`BasisFactor`).  The
+residual factor ``[U_{m+1} H_{m+1,m}, V_m Y]`` is a small coefficient matrix
+on the orthonormal basis ``[V_m, U_{m+1}]``, so it needs no tall QR; only
+after a happy breakdown is the remainder block orthogonalized.  The running
+solution is kept with orthonormal factors (``XL`` and a diagonal middle for
+Lyapunov, ``QL diag(sig) QR*`` for Sylvester, square-root balanced only on
+return), so each update orthogonalizes just the new columns ``V_m W``.
+
 The per-cycle iteration budget divides the column budget by the width of the
 current residual factor, so the basis depth adapts automatically as the
 residual rank evolves.  The attainable accuracy degrades by at most
@@ -23,9 +31,10 @@ import numpy as np
 
 from .arnoldi import HappyBreakdown, arnoldi_extend, arnoldi_init
 from .compression import (
-    LowRankFactorPair,
+    BasisFactor,
     SymLowRankFactor,
     TruncationRule,
+    _balanced,
     _eig_by_magnitude,
     _keep_count,
     compress,
@@ -34,7 +43,7 @@ from .compression import (
 )
 from .dense_eq import solve_lyapunov_ldlt, solve_sylvester_dense
 from .errors import MemoryBudgetError
-from .linalg import _qr_reduced_signed, svd
+from .linalg import svd
 from .residuals import (
     _norm,
     explicit_residual_lyap,
@@ -124,6 +133,8 @@ class SolveReport:
     the 0-based history index where each cycle begins.  Ranks are recorded
     after the per-cycle compressions.  ``peak_live_columns`` is the largest
     number of basis columns held simultaneously across all Krylov sessions.
+    ``within_residual_bound`` says whether the true residual stays within
+    ``residual_bound`` (None for solvers that state no bound).
     """
 
     solver: str
@@ -157,6 +168,7 @@ class SolveReport:
     norm_estimate_b: float | None = None
     norm_estimate_method: str = _NORM_EST_METHOD
     residual_bound: float | None = None
+    within_residual_bound: bool | None = None
     peak_live_columns: int = 0
     basis_dim: int | None = None
     wall_time_s: float = 0.0
@@ -179,6 +191,8 @@ class SolveReport:
         self.solution_rank = solution_rank
         self.true_residual = true_residual
         self.true_relative_residual = self._relative(true_residual)
+        if self.residual_bound is not None:
+            self.within_residual_bound = bool(true_residual <= self.residual_bound)
         self.counters = {name: cnt.as_dict() for name, cnt in counters.items()}
         cnt_a = counters["A"]
         self.efficiency = cnt_a.matvecs / cnt_a.a_calls if cnt_a.a_calls else float("nan")
@@ -219,8 +233,8 @@ def _default_tol_comp(tol_res, k_max, norm_a, norm_b):
 
 def _product_norm(C, D, norm):
     """||C @ D.T|| without forming the product."""
-    _, Rc = _qr_reduced_signed(C)
-    _, Rd = _qr_reduced_signed(D)
+    Rc = np.linalg.qr(C, mode="r")  # the norm does not see R's row signs
+    Rd = np.linalg.qr(D, mode="r")
     return _norm(Rc @ Rd.T, norm)
 
 
@@ -276,6 +290,24 @@ def _factor_pair(Y, rule):
     return U[:, :keep] * root, Vt[:keep].T * root
 
 
+def _residual_factor(dec, W, boundary_first):
+    """``[U_{m+1} H_{m+1,m}, V_m W]`` (or its two blocks swapped) in the Arnoldi basis.
+
+    Before a breakdown both blocks lie in ``[V_m, U_{m+1}]``, so the factor is
+    pure coefficients; after one, the unnormalized remainder block stands in
+    for ``U_{m+1} H_{m+1,m}`` as the factor's extra columns.
+    """
+    ms, s = dec.m * dec.s, dec.s
+    K = np.zeros((ms + s, 2 * s))
+    bnd, old = (slice(0, s), slice(s, 2 * s)) if boundary_first else (slice(s, 2 * s), slice(0, s))
+    K[:ms, old] = W
+    if dec.breakdown:
+        K[ms:, bnd] = np.eye(s)
+        return BasisFactor(dec.basis, dec.boundary_image(), K)
+    K[ms:, bnd] = dec.boundary
+    return BasisFactor(dec.extended_basis, np.zeros((dec.n, 0)), K)
+
+
 def _try_extend(dec):
     """Extend unless already broken down; swallow the breakdown signal."""
     if dec.breakdown:
@@ -312,8 +344,10 @@ def restarted_sylv(A, B, C, D, config, verify=False):
     rule_sol = TruncationRule(report.tol_comp, config.norm)
     rule_res = TruncationRule(report.tol_comp_res, config.norm)
 
-    XL = np.zeros((n, 0))
-    XR = np.zeros((n, 0))
+    # running solution QL diag(sig) QR* with orthonormal QL, QR
+    QL = np.zeros((n, 0))
+    QR = np.zeros((n, 0))
+    sig = np.zeros(0)
     Ck, Dk = C, D
     converged = False
     peak = 0
@@ -341,7 +375,7 @@ def restarted_sylv(A, B, C, D, config, verify=False):
             r = residual_norm_sylv(dec_a.boundary, dec_b.boundary, Y, config.norm)
             report.residual_history.append(r)
             if verify:
-                Xacc = XL @ XR.T + dec_a.basis @ Y @ dec_b.basis.T
+                Xacc = (QL * sig) @ QR.T + dec_a.basis @ Y @ dec_b.basis.T
                 report.explicit_history.append(
                     explicit_residual_sylv(A, B, C, D, Xacc, config.norm)
                 )
@@ -352,30 +386,34 @@ def restarted_sylv(A, B, C, D, config, verify=False):
                 break
         _close_cycle(report)
         YL, YR = _factor_pair(Y, rule_sol)
-        XL = np.hstack([XL, dec_a.basis @ YL])
-        XR = np.hstack([XR, dec_b.basis @ YR])
-        sol = compress(LowRankFactorPair(XL, XR), rule_sol)
-        XL, XR = sol.C, sol.D
-        report.solution_ranks.append(XL.shape[1])
+        QL, sig, QR = compress(
+            (BasisFactor(QL, dec_a.basis @ YL, np.diag(np.r_[sig, np.ones(YL.shape[1])])),
+             BasisFactor(QR, dec_b.basis @ YR, np.eye(sig.size + YR.shape[1]))),
+            rule_sol,
+        )
+        report.solution_ranks.append(sig.size)
         if verify:
             report.cycle_explicit_residuals.append(
-                explicit_residual_sylv(A, B, C, D, XL @ XR.T, config.norm)
+                explicit_residual_sylv(A, B, C, D, (QL * sig) @ QR.T, config.norm)
             )
         if flagconv:
             converged = True
             break
-        Cn = np.hstack([dec_a.boundary_image(), dec_a.basis @ Y[:, -sk:]])
-        Dn = np.hstack([dec_b.basis @ Y[-sk:, :].T, dec_b.boundary_image()])
-        res = compress(LowRankFactorPair(Cn, Dn), rule_res)
+        res = _balanced(*compress(
+            (_residual_factor(dec_a, Y[:, -sk:], boundary_first=True),
+             _residual_factor(dec_b, Y[-sk:, :].T, boundary_first=False)),
+            rule_res,
+        ))
         Ck, Dk = res.C, res.D
         report.residual_ranks.append(Ck.shape[1])
         dec_a = dec_b = None  # release both bases before the next cycle allocates
 
+    sol = _balanced(QL, sig, QR)  # in place: no second copy of the factors
     _close_run(report, peak)
-    report.finish(converged, XL.shape[1],
-                  true_residual_sylv(A, B, C, D, XL, XR, config.norm),
+    report.finish(converged, sol.rank,
+                  true_residual_sylv(A, B, C, D, sol.C, sol.D, config.norm),
                   {"A": cnt_a, "B": cnt_b}, t0)
-    return LowRankFactorPair(XL, XR), report
+    return sol, report
 
 
 def restarted_lyap(A, C, config, verify=False, project_spsd=False):
@@ -441,11 +479,9 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
                 break
         _close_cycle(report)
         WY, lam = _eig_by_magnitude(Y, rule_sol)
-        Snew = np.zeros((SX.shape[0] + lam.size,) * 2)
-        Snew[: SX.shape[0], : SX.shape[0]] = SX
-        Snew[SX.shape[0]:, SX.shape[0]:] = np.diag(lam)
+        Snew = np.diag(np.r_[np.diagonal(SX), lam])
         sol = compress_sym(
-            SymLowRankFactor(np.hstack([XL, dec.basis @ WY]), Snew), rule_sol
+            (BasisFactor(XL, dec.basis @ WY, np.eye(Snew.shape[0])), Snew), rule_sol
         )
         XL, SX = sol.C, sol.S
         report.solution_ranks.append(XL.shape[1])
@@ -459,11 +495,11 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         if flagconv:
             converged = True
             break
-        Cn = np.hstack([dec.boundary_image(), dec.basis @ Y[:, -sk:]])
         swap = np.zeros((2 * sk, 2 * sk))
         swap[:sk, sk:] = np.eye(sk)
         swap[sk:, :sk] = np.eye(sk)
-        res = compress_sym(SymLowRankFactor(Cn, swap), rule_res)
+        res = compress_sym((_residual_factor(dec, Y[:, -sk:], boundary_first=True), swap),
+                           rule_res)
         Ck, Dmid = res.C, res.S
         report.residual_ranks.append(Ck.shape[1])
         dec = None  # release the basis before the next cycle allocates

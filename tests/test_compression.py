@@ -3,14 +3,20 @@ import pytest
 
 from mateq import (
     LowRankFactorPair,
+    SolverConfig,
     SymLowRankFactor,
     TruncationRule,
     compress,
     compress_sym,
+    kron_oracle,
     psd_project,
+    restarted,
+    restarted_lyap,
+    restarted_sylv,
 )
+from mateq.compression import BasisFactor, _orthonormalize
 
-from conftest import rng_for
+from conftest import as_op, rng_for, spd_dense
 
 
 def test_rule_validation():
@@ -138,3 +144,128 @@ def test_psd_project_distance_is_most_negative_eigenvalue():
     assert lam_min < 0
     dist = np.linalg.norm(M - out.to_dense(), 2)
     assert abs(dist - abs(lam_min)) <= 1e-12 * abs(lam_min)
+
+
+# --- coefficient-space compression: [Q, Z] @ K with orthonormal Q -----------
+
+def _graded(rng, rows, cols, top=0):
+    """Random rows x cols matrix with singular values 1 ... 1e-12."""
+    U, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    V, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    k = min(rows, cols)
+    return (U[:, :k] * np.logspace(top, -12, k)) @ V[:, :k].T
+
+
+def _basis_factor(seed, where):
+    """BasisFactor whose Z has a component in span(Q) ("mixed"), barely leaves
+    it ("near": an ill-conditioned remainder) or lies in it ("inside": a
+    remainder of roundoff only)."""
+    rng = rng_for(seed)
+    n, q, z = 60, 8, 5
+    Q, _ = np.linalg.qr(rng.standard_normal((n, q)))
+    Z = Q @ rng.standard_normal((q, z))
+    Z = Z + {"mixed": 1.0, "near": 1e-6, "inside": 0.0}[where] * rng.standard_normal((n, z))
+    return BasisFactor(Q, Z, _graded(rng, q + z, 9))
+
+
+def _norm(M, norm):
+    return np.linalg.norm(M, 2 if norm == "spectral" else "fro")
+
+
+def _assert_orthonormal(U):
+    assert np.linalg.norm(U.T @ U - np.eye(U.shape[1])) <= 1e-12
+
+
+@pytest.mark.parametrize("where", ["mixed", "near", "inside"])
+def test_orthonormalize_extends_the_basis(where):
+    f = _basis_factor(40, where)
+    Q2, U, T = _orthonormalize(f)
+    basis = np.hstack([f.Q, Q2])
+    _assert_orthonormal(basis)
+    _assert_orthonormal(U)
+    assert T.shape == (9, 9)  # the factor's width, not the basis's (13)
+    dense = f.to_dense()
+    assert np.linalg.norm(basis @ U @ T - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+@pytest.mark.parametrize("where", ["mixed", "near", "inside"])
+def test_compress_in_basis_matches_generic(where, norm):
+    left, right = _basis_factor(41, where), _basis_factor(42, "mixed")
+    rule = TruncationRule(1e-6, norm)
+    exact = left.to_dense() @ right.to_dense().T
+    U, sig, V = compress((left, right), rule)
+    generic = compress(LowRankFactorPair(left.to_dense(), right.to_dense()), rule)
+    assert 0 < sig.size == generic.rank < 9
+    _assert_orthonormal(U)
+    _assert_orthonormal(V)
+    X = (U * sig) @ V.T
+    assert _norm(X - generic.to_dense(), norm) <= rule.tolerance
+    assert _norm(exact - X, norm) <= rule.tolerance
+
+
+@pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+@pytest.mark.parametrize("where", ["mixed", "near", "inside"])
+def test_compress_sym_in_basis_matches_generic(where, norm):
+    f = _basis_factor(43, where)
+    S = _graded(rng_for(44), 9, 9, top=1)
+    S = 0.5 * (S + S.T)  # indefinite
+    rule = TruncationRule(1e-6, norm)
+    exact = f.to_dense() @ S @ f.to_dense().T
+    out = compress_sym((f, S), rule)
+    generic = compress_sym(SymLowRankFactor(f.to_dense(), S), rule)
+    assert 0 < out.rank == generic.rank < 9
+    _assert_orthonormal(out.C)
+    assert _norm(out.to_dense() - generic.to_dense(), norm) <= rule.tolerance
+    assert _norm(exact - out.to_dense(), norm) <= rule.tolerance
+
+
+def _record_breakdowns(monkeypatch):
+    """Breakdown flag of every decomposition whose residual factor is compressed."""
+    seen = []
+    factor = restarted._residual_factor
+
+    def spy(dec, W, boundary_first):
+        seen.append(dec.breakdown)
+        return factor(dec, W, boundary_first)
+
+    monkeypatch.setattr(restarted, "_residual_factor", spy)
+    return seen
+
+
+def _two_eigenvalue_matrix(rng, n):
+    """Symmetric matrix with eigenvalues -1 and -3: its Krylov spaces break down at step 2."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    M = (Q * np.r_[np.full(n // 2, -1.0), np.full(n - n // 2, -3.0)]) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+def test_restarted_sylv_after_breakdown_matches_oracle(monkeypatch):
+    seen = _record_breakdowns(monkeypatch)
+    rng = rng_for(21)
+    n = 24
+    Ad = _two_eigenvalue_matrix(rng, n)
+    Bd = -spd_dense(rng, n, 0.3)
+    C, D = rng.standard_normal((n, 1)), rng.standard_normal((n, 1))
+    cfg = SolverConfig(memmax=16, tol_res=1e-10, tol_comp=1e-13, k_max=40)
+    pair, rep = restarted_sylv(as_op(Ad), as_op(Bd), C, D, cfg)
+    assert rep.converged and rep.restarts >= 1
+    assert True in seen  # the A side's remainder went into the residual factor
+    Xo = kron_oracle(Ad, Bd, C @ D.T)
+    assert np.linalg.norm(pair.to_dense() - Xo) <= 1e-9 * np.linalg.norm(Xo)
+    assert rep.true_residual <= rep.residual_bound
+
+
+def test_restarted_lyap_after_breakdown_matches_oracle(monkeypatch):
+    seen = _record_breakdowns(monkeypatch)
+    rng = rng_for(22)
+    n = 24
+    Ad = _two_eigenvalue_matrix(rng, n)
+    C = rng.standard_normal((n, 1))
+    # a residual tolerance below the breakdown remainder forces a restart from it
+    cfg = SolverConfig(memmax=12, tol_res=1e-16, tol_comp=1e-16, tol_comp_res=1e-18, k_max=3)
+    fac, rep = restarted_lyap(as_op(Ad), C, cfg)
+    assert rep.restarts >= 1 and rep.cycle_inner_iterations[0] == 2
+    assert seen[0]
+    Xo = kron_oracle(Ad, Ad, C @ C.T)
+    assert np.linalg.norm(fac.to_dense() - Xo) <= 1e-12 * np.linalg.norm(Xo)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mateq import eig_sym, qr_economy, real_schur, svd
+from mateq.linalg import _fix_vector_signs
 from mateq.errors import DimensionMismatchError
 
 from conftest import rng_for
@@ -159,3 +160,38 @@ def test_schur_norm_preservation():
         M = rng.standard_normal((9, 9))
         _, T = real_schur(M)
         assert abs(np.linalg.norm(T) - np.linalg.norm(M)) <= 1e-11 * np.linalg.norm(M)
+
+
+def _fix_vector_signs_loop(U, *companions):
+    """Column-by-column reference for linalg._fix_vector_signs."""
+    U = np.array(U, copy=True)
+    out = [np.array(c, copy=True) for c in companions]
+    for i in range(U.shape[1]):
+        col = U[:, i]
+        big = np.abs(col).max(initial=0.0)
+        if big == 0.0:
+            continue
+        nz = np.nonzero(np.abs(col) > 1e-12 * big)[0]
+        if nz.size and col[nz[0]] < 0:
+            U[:, i] = -col
+            for c in out:
+                c[i, :] = -c[i, :]
+    return U, *out
+
+
+def test_fix_vector_signs_matches_loop():
+    rng = rng_for(31)
+    U = rng.standard_normal((9, 8))
+    U[:3, 1] = [1e-14, -1e-15, -2.0]   # leading entries below 1e-12 * max are skipped
+    U[:, 2] = 0.0                       # zero column stays as it is
+    U[:, 3] = [-0.0] + [0.0] * 8
+    U[0, 4] = -1e-12 * np.abs(U[:, 4]).max()  # exactly at the threshold: skipped
+    U[:, 5] = -np.abs(U[:, 5])
+    Vt = rng.standard_normal((8, 5))
+    got_u, got_v = _fix_vector_signs(U, Vt)
+    ref_u, ref_v = _fix_vector_signs_loop(U, Vt)
+    assert np.array_equal(got_u, ref_u) and np.array_equal(got_v, ref_v)
+    assert np.array_equal(np.signbit(got_u), np.signbit(ref_u))
+    assert np.array_equal(_fix_vector_signs(U), ref_u)
+    for shape in [(0, 3), (4, 0), (0, 0)]:
+        assert _fix_vector_signs(np.zeros(shape)).shape == shape

@@ -66,5 +66,18 @@ def test_finish_identities(name):
         assert len(rep.cycle_budgets) == len(rep.cycle_starts) == cycles
         assert len(rep.cycle_inner_iterations) == cycles
         assert sum(rep.cycle_inner_iterations) == rep.iterations
+        assert len(rep.solution_ranks) == cycles
+        assert rep.solution_ranks[-1] == rep.solution_rank
         assert rep.restarts >= 1
+        assert rep.within_residual_bound == (rep.true_residual <= rep.residual_bound)
+    else:
+        assert rep.residual_bound is None and rep.within_residual_bound is None
     assert rep.converged == (name != "restarted-lyap-k_max")
+
+
+def test_within_residual_bound_flags_a_run_cut_short():
+    _, done = SOLVES["restarted-lyap"]()
+    _, cut = restarted_lyap(LAP, C_LAP, SolverConfig(memmax=32, tol_res=1e-8, k_max=0))
+    assert done.within_residual_bound is True
+    assert not cut.converged and cut.true_residual > cut.residual_bound
+    assert cut.within_residual_bound is False
