@@ -6,10 +6,12 @@ boundary block coupling the last kept block to the next one, so that
 
     A @ U_m = U_m @ H_m + U_{m+1} @ H_boundary @ E_m.T
 
-holds to working precision.  Orthogonalization is classical block
-Gram-Schmidt with one full reorthogonalization pass (two projection sweeps),
-which keeps the basis orthonormal to near machine precision; the intra-block
-step is an economy QR.
+holds to working precision.  Each step orthonormalizes A's image of the
+newest block in place, in one preallocated Fortran-ordered basis, with
+:func:`linalg.orthonormalize_block` (project, Householder QR, project the QR
+factor once more).  The basis stays orthonormal to roundoff even when the
+image falls nearly inside it: the tests hold ``||E.T E - I||_F <= 1e-12``
+for the extended basis E in that case.
 
 Rank deficiency of the incoming block is not deflated: a deficient starting
 block raises, and a deficient extension signals :class:`HappyBreakdown`
@@ -19,7 +21,7 @@ carrying the decomposition whose range is (numerically) invariant under A.
 import numpy as np
 
 from .errors import MemoryExhaustedError, RankDeficientBlockError
-from .linalg import qr_economy
+from .linalg import orthonormalize_block, qr_economy
 from .sparse import spmm
 
 __all__ = ["ArnoldiDecomposition", "HappyBreakdown", "arnoldi_init", "arnoldi_extend"]
@@ -49,14 +51,12 @@ class ArnoldiDecomposition:
         self.n, self.s = Q0.shape
         self.max_steps = int(max_steps)
         cap = (self.max_steps + 1) * self.s
-        self._Q = np.zeros((self.n, cap))
+        self._Q = np.zeros((self.n, cap), order="F")
         self._Q[:, : self.s] = Q0
         self._Hbar = np.zeros((cap, self.max_steps * self.s))
         self.r0 = R0
         self.m = 0
         self.breakdown = False
-        self._tiny_boundary = None
-        self._remainder = None
         self.op_norm_est = 0.0
 
     @property
@@ -70,13 +70,6 @@ class ArnoldiDecomposition:
         return self._Q[:, : (self.m + 1) * self.s]
 
     @property
-    def next_block(self):
-        """The (m+1)-th block; None after a breakdown."""
-        if self.breakdown:
-            return None
-        return self._Q[:, self.m * self.s : (self.m + 1) * self.s]
-
-    @property
     def H(self):
         """Block upper-Hessenberg projection, (m*s) x (m*s)."""
         ms = self.m * self.s
@@ -85,20 +78,18 @@ class ArnoldiDecomposition:
     @property
     def boundary(self):
         """Boundary block H_{m+1,m}; the tiny remainder's R after a breakdown."""
-        if self.breakdown:
-            return self._tiny_boundary
         ms = self.m * self.s
         return self._Hbar[ms : ms + self.s, ms - self.s : ms]
 
     def boundary_image(self):
         """The full-size product U_{m+1} @ H_{m+1,m} (n x s).
 
-        After a breakdown this is the stored remainder block itself, which is
-        exact even when its QR was rank deficient and U_{m+1} does not exist.
+        After a breakdown U_{m+1} does not exist, but the remainder is stored
+        as its QR factors in its place; their product is the out-of-space
+        part of the last image, exact to roundoff even when R is singular.
         """
-        if self.breakdown:
-            return self._remainder
-        return self.next_block @ self.boundary
+        ms = self.m * self.s
+        return self._Q[:, ms : ms + self.s] @ self.boundary
 
     @property
     def materialized_columns(self):
@@ -107,17 +98,18 @@ class ArnoldiDecomposition:
         return blocks * self.s
 
 
-def arnoldi_init(A, C, counter, max_steps):
+def arnoldi_init(A, C, counter, max_steps, r0=None):
     """Start a block Arnoldi session from the raw block C.
 
     The starting block is orthonormalized by economy QR; its R factor is kept
     on the decomposition (``r0``) because the basis projection of C is just
-    the first block of the identity times R.
+    the first block of the identity times R.  A C with orthonormal columns
+    comes with the starting block's R as ``r0`` and is used without a QR.
     """
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[1] < 1:
         raise ValueError(f"starting block must be n x s with s >= 1, got {C.shape}")
-    Q0, R0 = qr_economy(C)
+    Q0, R0 = qr_economy(C) if r0 is None else (C, r0)
     sig = np.linalg.svd(R0, compute_uv=False)
     if sig[-1] < 1e-12 * sig[0]:
         raise RankDeficientBlockError(
@@ -140,24 +132,16 @@ def arnoldi_extend(dec):
         raise MemoryExhaustedError(
             f"decomposition capacity of {dec.max_steps} block steps exhausted"
         )
-    s = dec.s
-    j = dec.m  # extending from block j to block j+1 (0-based storage)
-    W = spmm(dec.operator, dec._Q[:, j * s : (j + 1) * s], dec.counter)
-    dec.op_norm_est = max(dec.op_norm_est, float(np.linalg.norm(W, axis=0).max()))
+    s, j = dec.s, dec.m  # extending from block j to block j+1 (0-based storage)
     U = dec._Q[:, : (j + 1) * s]
+    W = dec._Q[:, (j + 1) * s : (j + 2) * s]
+    W[...] = spmm(dec.operator, U[:, j * s :], dec.counter)
+    dec.op_norm_est = max(dec.op_norm_est, float(np.linalg.norm(W, axis=0).max()))
     col = slice(j * s, (j + 1) * s)
-    proj = U.T @ W
-    W = W - U @ proj
-    corr = U.T @ W  # one full reorthogonalization pass
-    W = W - U @ corr
-    dec._Hbar[: (j + 1) * s, col] = proj + corr
-    Qn, Rn = qr_economy(W)
+    P, Rn = orthonormalize_block(U, W)
+    dec._Hbar[: (j + 2) * s, col] = np.vstack([P, Rn])
     dec.m = j + 1
     if np.abs(np.diagonal(Rn)).min() <= 1e-12 * dec.op_norm_est:
         dec.breakdown = True
-        dec._tiny_boundary = Rn
-        dec._remainder = W
         raise HappyBreakdown(dec)
-    dec._Hbar[(j + 1) * s : (j + 2) * s, col] = Rn
-    dec._Q[:, (j + 1) * s : (j + 2) * s] = Qn
     return dec

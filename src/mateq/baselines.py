@@ -29,7 +29,7 @@ from .errors import (
     NonConvergenceError,
     RankDeficientBlockError,
 )
-from .linalg import qr_economy
+from .linalg import orthonormalize_block, qr_economy
 from .restarted import SolveReport, _as_block, _factor_pair, _product_norm
 from .residuals import residual_norm_lyap, true_residual_lyap, true_residual_sylv
 from .sparse import OpCounter, estimate_norm2, spmm
@@ -70,7 +70,7 @@ def block_cg(A, RHS, cfg, counter):
     rhs_norm = np.linalg.norm(RHS)
     if rhs_norm == 0:
         return np.zeros_like(RHS)
-    X = np.zeros_like(RHS)
+    X = np.zeros(RHS.shape)  # C order: a mixed-layout X += P @ alpha is slow
     R = RHS.copy()
     P, _ = qr_economy(R)
     for _ in range(cfg.max_iter):
@@ -104,7 +104,7 @@ def block_gmres(A, RHS, cfg, counter):
     rhs_norm = np.linalg.norm(RHS)
     if rhs_norm == 0:
         return np.zeros_like(RHS)
-    X = np.zeros_like(RHS)
+    X = np.zeros(RHS.shape)  # C order: a mixed-layout X += P @ alpha is slow
     R = RHS.copy()
     total = 0
     while total < cfg.max_iter:
@@ -131,9 +131,7 @@ def block_gmres(A, RHS, cfg, counter):
             j = dec.m
             Hbar = np.zeros(((j + 1) * s, j * s))
             Hbar[: j * s, :] = dec.H
-            bnd = dec.boundary
-            if bnd is not None:
-                Hbar[j * s :, (j - 1) * s :] = bnd
+            Hbar[j * s :, (j - 1) * s :] = dec.boundary
             E1R = np.zeros(((j + 1) * s, s))
             E1R[:s, :] = rhs_small
             Y, _, _, _ = np.linalg.lstsq(Hbar, E1R, rcond=None)
@@ -153,8 +151,9 @@ class _ExtendedBasis:
     """Interleaved direct/inverse Krylov basis with cached operator images.
 
     Blocks come in pairs: the image part (from applying the operator) and the
-    inverse part (from the inner solve).  The projection ``T = U* (A U)`` is
-    filled incrementally from the cached images, so its assembly costs no
+    inverse part (from the inner solve), in preallocated Fortran-ordered
+    ``U`` and ``AU`` of ``max_dim`` columns.  The projection ``T = U* (A U)``
+    is filled incrementally from the cached images, so its assembly costs no
     extra operator applications beyond the one image per new block.
     """
 
@@ -169,16 +168,22 @@ class _ExtendedBasis:
             raise MemoryExhaustedError(
                 f"even the starting extended block needs {2 * s} columns > {max_dim}"
             )
+        self._U = np.empty((n, max_dim), order="F")
+        self._AU = np.empty((n, max_dim), order="F")
         inv = inner.solve(A, C, counter)
-        Q, R0 = qr_economy(np.hstack([C, inv]))
-        self.U = Q
+        self._U[:, : 2 * s], R0 = qr_economy(np.hstack([C, inv]))
         self.proj_rhs = R0[:, :s]  # U* C, nonzero only in the leading 2s rows
-        self.AU = np.hstack([spmm(A, Q[:, :s], counter), spmm(A, Q[:, s:], counter)])
+        self.dim = 0
+        self._take_block()
         self.T = self.U.T @ self.AU
 
-    @property
-    def dim(self):
-        return self.U.shape[1]
+    def _take_block(self):
+        """Append the orthonormal block written just past the basis, with its images."""
+        d, s = self.dim, self.s
+        for k in (d, d + s):
+            self._AU[:, k : k + s] = spmm(self.A, self._U[:, k : k + s], self.counter)
+        self.dim = d + 2 * s
+        self.U, self.AU = self._U[:, : self.dim], self._AU[:, : self.dim]
 
     def rhs_block(self):
         out = np.zeros((self.dim, self.s))
@@ -187,32 +192,24 @@ class _ExtendedBasis:
 
     def residual_factor(self, Y):
         """F Y with F the out-of-space part of the cached images."""
-        F = self.AU - self.U @ self.T
-        return F @ Y
+        F = self.U @ self.T
+        return np.subtract(self.AU, F, out=F) @ Y
 
     def extend(self):
-        s = self.s
-        if self.dim + 2 * s > self.max_dim:
+        s, d = self.s, self.dim
+        if d + 2 * s > self.max_dim:
             raise MemoryExhaustedError(
                 f"extended basis would exceed {self.max_dim} columns; cannot reach the tolerance"
             )
-        xi = self.AU[:, -2 * s : -s]  # cached image of the previous direct block
-        eta = self.inner.solve(self.A, self.U[:, -s:], self.counter)
-        W = np.hstack([xi, eta])
-        proj = self.U.T @ W
-        W = W - self.U @ proj
-        W = W - self.U @ (self.U.T @ W)
-        Qn, _ = qr_economy(W)
-        self.U = np.hstack([self.U, Qn])
-        new_images = np.hstack(
-            [spmm(self.A, Qn[:, :s], self.counter), spmm(self.A, Qn[:, s:], self.counter)]
-        )
-        self.AU = np.hstack([self.AU, new_images])
-        d_old = self.T.shape[0]
+        W = self._U[:, d : d + 2 * s]
+        W[:, :s] = self._AU[:, d - 2 * s : d - s]  # cached image of the previous direct block
+        W[:, s:] = self.inner.solve(self.A, self._U[:, d - s : d], self.counter)
+        orthonormalize_block(self.U, W)
+        self._take_block()
         T = np.zeros((self.dim, self.dim))
-        T[:d_old, :d_old] = self.T
-        T[:, d_old:] = self.U.T @ new_images
-        T[d_old:, :d_old] = Qn.T @ self.AU[:, :d_old]
+        T[:d, :d] = self.T
+        T[:, d:] = self.U.T @ self.AU[:, d:]
+        T[d:, :d] = W.T @ self._AU[:, :d]
         self.T = T
 
 
@@ -264,8 +261,8 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
     report.norm_estimate_a = report.norm_estimate_b = norm_a
     fac = _finish_sym(basis.U, Y, _solution_cut(tol_res, norm_a, norm_a))
     report.iterations = outer
-    report.basis_dim = basis.dim
-    report.peak_live_columns = basis.dim
+    report.basis_dim = report.peak_live_columns = basis.dim
+    basis = None  # release U and AU before the true residual allocates
     report.finish(True, fac.rank, true_residual_lyap(A, C, fac.C, fac.S, "frobenius"),
                   {"A": counter}, t0)
     return fac, report
@@ -310,6 +307,7 @@ def eksm_sylv(A, B, C, D, inner_a, inner_b, tol_res, max_dim):
     report.iterations = outer
     report.basis_dim = ba.dim
     report.peak_live_columns = ba.dim + bb.dim
+    ba = bb = None  # release U and AU before the true residual allocates
     report.finish(True, fac.rank, true_residual_sylv(A, B, C, D, fac.C, fac.D, "frobenius"),
                   {"A": cnt_a, "B": cnt_b}, t0)
     return fac, report

@@ -11,15 +11,14 @@ semidefinite matrix in both the Frobenius and spectral norms.
 Both entry points accept a tall factor written in coefficient space, as a
 :class:`BasisFactor` ``[Q, Z] @ K``: ``Q`` is a basis already known to be
 orthonormal, ``Z`` holds extra columns and ``K`` is a small coefficient
-matrix.  Only ``Z`` is orthogonalized: it is projected against ``Q``, its
-remainder is the one tall QR (no wider than ``Z``), and that QR factor is
-projected against ``Q`` once more.  The SVD or eigendecomposition then runs
-on a core as wide as the factor, and the output ``[Q, Q2] @ (small)`` is
-formed by matrix products; it is as orthonormal as ``Q`` is.  A plain array
-factor is the special case with an empty ``Q``.  The restarted drivers use
-this for their residual factors, which lie in the Arnoldi basis (no tall QR
-at all), and for their solution updates, whose previous factors are
-orthonormal.
+matrix.  Only ``Z`` is orthogonalized, by the package's one block
+Gram-Schmidt step :func:`linalg.orthonormalize_block`, whose tall QR is no
+wider than ``Z``.  The SVD or eigendecomposition then runs on a core as wide
+as the factor, and the output ``[Q, Q2] @ (small)`` is formed by matrix
+products; it is as orthonormal as ``Q`` is.  A plain array factor is the
+special case with an empty ``Q``.  The restarted drivers use this for their
+residual factors, which lie in the Arnoldi basis (no tall QR at all), and
+for their solution updates, whose previous factors are orthonormal.
 
 Truncation rules: under the ``spectral`` rule every discarded singular value
 (eigenvalue magnitude) is below the tolerance; under the ``frobenius`` rule
@@ -30,14 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _qr_reduced_signed, eig_sym, svd
+from .linalg import _qr_reduced_signed, eig_sym, orthonormalize_block, svd
 
 __all__ = ["TruncationRule", "LowRankFactorPair", "SymLowRankFactor", "BasisFactor",
            "compress", "compress_sym", "psd_project"]
 
 _NORMS = ("spectral", "frobenius")
-# lean ||Q.T @ Q2|| up to which one projection restores orthonormality (to its square)
-_LEAN_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -142,31 +139,15 @@ def _orthonormalize(f):
 
     ``[Q, Q2]`` and ``U`` have orthonormal columns and ``T`` is no taller
     than it is wide, so the truncation core built from ``T`` has the
-    factor's width, not the basis's.  ``Z`` is projected against ``Q`` and
-    its remainder is the one tall QR.  That QR factor leans on ``Q`` by
-    ``G = Q.T @ Q2``, far above roundoff when the remainder is
-    ill-conditioned (new columns nearly inside ``span(Q)``), so it is
-    projected once more; afterwards ``[Q, Q2]`` is orthonormal up to
-    ``||G||**2``.  Only when ``G`` is too large for that is ``Q2`` factored
-    a second time.
+    factor's width, not the basis's.  ``Z`` is orthonormalized against ``Q``
+    by :func:`orthonormalize_block` on a copy, so ``[Q, Q2]`` stays
+    orthonormal even when new columns lie nearly inside ``span(Q)``.
     """
     Q, Z, K = f.Q, f.Z, f.K
     q = Q.shape[1]
-    if Z.shape[1] == 0:
-        Q2, R = Z, K
-    elif q == 0:
-        Q2, R2 = _qr_reduced_signed(Z)
-        R = R2 @ K
-    else:
-        P = Q.T @ Z
-        Q2, R2 = _qr_reduced_signed(Z - Q @ P)
-        G = Q.T @ Q2
-        Q2 -= Q @ G
-        P += G @ R2  # Z = Q P + Q2 R2 still holds
-        if np.linalg.norm(G) > _LEAN_TOL:
-            Q2, Rg = _qr_reduced_signed(Q2)
-            R2 = Rg @ R2
-        R = np.vstack([K[:q] + P @ K[q:], R2 @ K[q:]])
+    Q2 = np.array(Z, order="F")
+    P, R2 = orthonormalize_block(Q, Q2)
+    R = np.vstack([K[:q] + P @ K[q:], R2 @ K[q:]])
     if R.shape[0] > R.shape[1]:
         U, T = np.linalg.qr(R)
         return Q2, U, T

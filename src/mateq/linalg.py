@@ -5,6 +5,9 @@ fix deterministic sign conventions (nonnegative R diagonal in QR, first
 nonzero component of each singular/eigen vector nonnegative) so that repeated
 runs produce bitwise identical factors.  The heavy lifting is delegated to
 LAPACK through numpy/scipy; these wrappers only add the contracts.
+
+The hot path, :func:`orthonormalize_block` included, stays on numpy's BLAS:
+mixing in scipy's makes two OpenBLAS thread pools contend for the cores.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatchError, NonConvergenceError
 
-__all__ = ["qr_economy", "svd", "eig_sym", "real_schur"]
+__all__ = ["qr_economy", "orthonormalize_block", "svd", "eig_sym", "real_schur"]
 
 
 def _as_matrix(M, name="matrix"):
@@ -70,6 +73,31 @@ def qr_economy(M):
     if n < k:
         raise DimensionMismatchError(f"economy QR needs n >= k, got {M.shape}")
     return _qr_reduced_signed(M)
+
+
+def orthonormalize_block(U, W):
+    """Orthonormalize the column block ``W`` against the orthonormal ``U``, in place.
+
+    Returns ``(P, R)``: ``W`` then holds ``Q`` with ``[U, Q]`` orthonormal,
+    ``W_in = U @ P + Q @ R`` and R upper triangular, diagonal >= 0.  The QR
+    factor of the projected ``W`` leans on ``U`` by ``G = U.T @ Q``, far above
+    roundoff when ``W`` nearly lies in ``span(U)``; one more projection leaves
+    ``||G||**2``, and only a lean above ``1e-7`` is factored again
+    (Carson, Lund, Rozloznik & Thomas, LAA 2022).  ``U @ P`` goes into one
+    scratch block, not a fresh temporary.
+    """
+    buf = np.empty_like(W)
+    P = U.T @ W
+    W -= np.matmul(U, P, out=buf)
+    Q, R = _qr_reduced_signed(W)
+    G = U.T @ Q
+    Q -= np.matmul(U, G, out=buf)
+    P += G @ R  # W_in = U P + Q R still holds
+    if np.linalg.norm(G) > 1e-7:
+        Q, Rg = _qr_reduced_signed(Q)
+        R = Rg @ R
+    W[...] = Q
+    return P, R
 
 
 def svd(M):

@@ -14,7 +14,10 @@ on the orthonormal basis ``[V_m, U_{m+1}]``, so it needs no tall QR; only
 after a happy breakdown is the remainder block orthogonalized.  The running
 solution is kept with orthonormal factors (``XL`` and a diagonal middle for
 Lyapunov, ``QL diag(sig) QR*`` for Sylvester, square-root balanced only on
-return), so each update orthogonalizes just the new columns ``V_m W``.
+return), so each update orthogonalizes just the new columns ``V_m W``; the
+compressed residual factors are orthonormal too and start the next cycle
+without a QR.  ``restarted_lyap`` on an operator flagged symmetric solves
+with the exactly symmetric ``0.5 (H + H.T)`` (the eigh route).
 
 The per-cycle iteration budget divides the column budget by the width of the
 current residual factor, so the basis depth adapts automatically as the
@@ -349,6 +352,7 @@ def restarted_sylv(A, B, C, D, config, verify=False):
     QR = np.zeros((n, 0))
     sig = np.zeros(0)
     Ck, Dk = C, D
+    R0k = None  # restart blocks Ck diag(sqrt(sig_res)) come back with orthonormal Ck
     converged = False
     peak = 0
 
@@ -359,8 +363,8 @@ def restarted_sylv(A, B, C, D, config, verify=False):
             break
         mk = config.memmax // (2 * sk) - 2
         _open_cycle(report, sk, mk)
-        dec_a = arnoldi_init(A, Ck, cnt_a, max_steps=mk)
-        dec_b = arnoldi_init(Bt, Dk, cnt_b, max_steps=mk)
+        dec_a = arnoldi_init(A, Ck, cnt_a, max_steps=mk, r0=R0k)
+        dec_b = arnoldi_init(Bt, Dk, cnt_b, max_steps=mk, r0=R0k)
         rhs_core = dec_a.r0 @ dec_b.r0.T
         flagconv = False
         Y = None
@@ -399,12 +403,12 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         if flagconv:
             converged = True
             break
-        res = _balanced(*compress(
+        Ck, sig_res, Dk = compress(
             (_residual_factor(dec_a, Y[:, -sk:], boundary_first=True),
              _residual_factor(dec_b, Y[-sk:, :].T, boundary_first=False)),
             rule_res,
-        ))
-        Ck, Dk = res.C, res.D
+        )
+        R0k = np.diag(np.sqrt(sig_res))
         report.residual_ranks.append(Ck.shape[1])
         dec_a = dec_b = None  # release both bases before the next cycle allocates
 
@@ -445,6 +449,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
     SX = np.zeros((0, 0))
     Ck = C
     Dmid = np.eye(s)
+    R0k = None  # restart blocks come back orthonormal: R = I
     converged = False
     peak = 0
 
@@ -455,7 +460,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
             break
         mk = config.memmax // sk - 1
         _open_cycle(report, sk, mk)
-        dec = arnoldi_init(A, Ck, cnt_a, max_steps=mk)
+        dec = arnoldi_init(A, Ck, cnt_a, max_steps=mk, r0=R0k)
         flagconv = False
         Y = None
         for _ in range(mk):
@@ -464,7 +469,9 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
             kk = dec.m * sk
             Ctil = np.zeros((kk, sk))
             Ctil[:sk, :] = dec.r0
-            Y = solve_lyapunov_ldlt(dec.H, Ctil, Dmid)
+            # symmetric to roundoff for symmetric A; made exact, it takes the eigh route
+            H = 0.5 * (dec.H + dec.H.T) if A.symmetric else dec.H
+            Y = solve_lyapunov_ldlt(H, Ctil, Dmid)
             r = residual_norm_lyap(dec.boundary, Y, config.norm)
             report.residual_history.append(r)
             if verify:
@@ -500,7 +507,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         swap[sk:, :sk] = np.eye(sk)
         res = compress_sym((_residual_factor(dec, Y[:, -sk:], boundary_first=True), swap),
                            rule_res)
-        Ck, Dmid = res.C, res.S
+        Ck, Dmid, R0k = res.C, res.S, np.eye(res.rank)
         report.residual_ranks.append(Ck.shape[1])
         dec = None  # release the basis before the next cycle allocates
 

@@ -121,3 +121,36 @@ def test_partial_rank_deficiency_keeps_remainder():
     assert img.shape == (12, 2)
     # the remainder is exactly the out-of-space part of A @ U_m's last block
     assert relation_residual(dec, Ad) <= 1e-10 * np.linalg.norm(Ad)
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-10, 0.0])
+def test_extended_basis_orthonormal_when_image_nearly_inside_basis(delta):
+    # C lies in a 10-dimensional invariant subspace of A0, perturbed by delta.
+    # The third image has one direction of it left, so two of its columns
+    # fall inside the basis up to delta: its remainder block is
+    # ill-conditioned (delta > 0) or rank deficient (delta = 0)
+    rng = rng_for(9)
+    n, s, k = 120, 3, 10
+    Ad = np.zeros((n, n))
+    Ad[:k, :k] = stable_dense(rng, k)
+    Ad[k:, k:] = stable_dense(rng, n - k)
+    Ad += delta * rng.standard_normal((n, n)) / np.sqrt(n)
+    C = np.zeros((n, s))
+    C[:k] = rng.standard_normal((k, s))
+    dec = arnoldi_init(as_op(Ad), C, OpCounter(), max_steps=7)
+    for _ in range(7):
+        try:
+            arnoldi_extend(dec)
+        except HappyBreakdown:
+            break
+        E = dec.extended_basis
+        assert np.linalg.norm(E.T @ E - np.eye(E.shape[1])) <= 1e-12
+        assert relation_residual(dec, Ad) <= 1e-10 * np.linalg.norm(Ad)
+    # breakdown exactly when the subspace is invariant; its H column and the
+    # stored remainder still close the Arnoldi relation
+    assert dec.breakdown == (delta == 0.0)
+    assert dec.m == (3 if delta == 0.0 else 7)
+    assert relation_residual(dec, Ad) <= 1e-10 * np.linalg.norm(Ad)
+    if dec.breakdown:
+        assert np.abs(np.diagonal(dec.boundary)).min() <= 1e-12 * np.linalg.norm(Ad)
+        assert np.linalg.norm(dec.basis.T @ dec.boundary_image()) <= 1e-12 * np.linalg.norm(Ad)

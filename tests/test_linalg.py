@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mateq import eig_sym, qr_economy, real_schur, svd
-from mateq.linalg import _fix_vector_signs
+from mateq.linalg import _fix_vector_signs, orthonormalize_block
 from mateq.errors import DimensionMismatchError
 
 from conftest import rng_for
@@ -195,3 +195,20 @@ def test_fix_vector_signs_matches_loop():
     assert np.array_equal(_fix_vector_signs(U), ref_u)
     for shape in [(0, 3), (4, 0), (0, 0)]:
         assert _fix_vector_signs(np.zeros(shape)).shape == shape
+
+
+@pytest.mark.parametrize("delta", [1.0, 1e-9, 1e-12])
+def test_orthonormalize_block_against_basis(delta):
+    # W = U M + delta N: a small delta leaves the remainder ill-conditioned
+    # (1e-9 takes the lean projection only, 1e-12 also the second QR)
+    rng = rng_for(12)
+    n, k, s = 300, 40, 5
+    U, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    U = np.asfortranarray(U)
+    W0 = U @ rng.standard_normal((k, s)) + delta * rng.standard_normal((n, s))
+    W = np.array(W0, order="F")
+    P, R = orthonormalize_block(U, W)
+    E = np.hstack([U, W])
+    assert np.linalg.norm(E.T @ E - np.eye(k + s)) <= 1e-13
+    assert np.linalg.norm(U @ P + W @ R - W0) <= 1e-14 * np.linalg.norm(W0)
+    assert np.array_equal(R, np.triu(R)) and np.all(np.diagonal(R) >= 0)

@@ -4,6 +4,7 @@ import pytest
 from mateq import (
     SolverConfig,
     SparseOperator,
+    dense_eq,
     eval_error_bound_normal,
     eval_residual_bound,
     kron_oracle,
@@ -165,6 +166,32 @@ def test_verify_mode_records_explicit_residuals():
     assert len(rep.explicit_history) == rep.iterations
     rel = np.abs(np.array(rep.explicit_history) - np.array(rep.residual_history))
     assert np.all(rel <= 1e-6 * np.array(rep.explicit_history))
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_lyap_symmetric_operator_takes_the_eigh_route(monkeypatch, symmetric):
+    # Bartels-Stewart runs only through dense_eq.solve_sylvester_dense
+    calls = []
+    bartels_stewart = dense_eq.solve_sylvester_dense
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return bartels_stewart(*args)
+
+    monkeypatch.setattr(dense_eq, "solve_sylvester_dense", spy)
+    rng = rng_for(11)
+    S = spd_dense(rng, 60)
+    S = 0.5 * (S + S.T)
+    K = rng.standard_normal((60, 60)) / 60
+    A = as_op(S, symmetric=True) if symmetric else as_op(S + 0.2 * (K - K.T))
+    C = rng.standard_normal((60, 2))
+    C /= np.linalg.norm(C.T @ C) ** 0.5
+    cfg = SolverConfig(memmax=12, tol_res=1e-4, tol_comp=1e-14, k_max=10)
+    _, rep = restarted_lyap(A, C, cfg, verify=True)
+    assert rep.converged and rep.restarts >= 1
+    assert len(calls) == (0 if symmetric else rep.iterations)
+    cheap, explicit = np.array(rep.residual_history), np.array(rep.explicit_history)
+    assert np.all(np.abs(cheap - explicit) <= 1e-9 * explicit)
 
 
 def test_rank_zero_residual_means_converged():
