@@ -52,6 +52,8 @@ class InnerSolverConfig:
             raise ValueError(f"kind must be 'block-cg' or 'block-gmres', got {self.kind!r}")
         if not 0 < self.tol < 1:
             raise ValueError("inner tolerance must lie in (0, 1)")
+        if self.restart < 1:
+            raise ValueError(f"restart must be >= 1, got {self.restart}")
 
     def solve(self, A, RHS, counter):
         if self.kind == "block-cg":
@@ -325,6 +327,8 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
     """
     if not A.symmetric:
         raise ValueError("two-pass Lanczos requires a symmetric operator")
+    if max_m < 1:
+        raise ValueError(f"max_m must be >= 1, got {max_m}")
     C = _as_block(C)
     t0 = time.perf_counter()
     counter = OpCounter()

@@ -4,9 +4,16 @@ Coordinate files are real, 1-based, ``general`` or ``symmetric`` (lower
 triangle stored).  Values are written with 17 significant digits so a
 write/read round trip reproduces ``float64`` data exactly.  Dense blocks use
 the ``array`` format (column-major).
+
+Reading goes through :func:`scipy.io.mminfo` and :func:`scipy.io.mmread`;
+this module adds only what mateq requires of a file on top: a square
+operator, the ``real`` field, ``general``/``symmetric`` coordinate operators
+and ``general`` dense blocks.  Writing is mateq's own so the size line
+follows the banner directly.
 """
 
 import numpy as np
+import scipy.io
 
 from .sparse import SparseOperator
 
@@ -20,66 +27,36 @@ __all__ = [
 _HEADER_PREFIX = "%%MatrixMarket"
 
 
-def _parse_header(line, path):
-    parts = line.strip().split()
-    if len(parts) != 5 or parts[0] != _HEADER_PREFIX or parts[1].lower() != "matrix":
-        raise ValueError(f"{path}: malformed Matrix Market header: {line.strip()!r}")
-    fmt, field, symmetry = (p.lower() for p in parts[2:5])
+def _info(path, fmt, symmetries):
+    """Header ``(nrows, ncols, symmetry)`` after checking format, field and symmetry."""
+    nrows, ncols, _, got_fmt, field, symmetry = scipy.io.mminfo(path)
+    if got_fmt != fmt:
+        raise ValueError(f"{path}: expected {fmt} format, got {got_fmt!r}")
     if field != "real":
         raise ValueError(f"{path}: only the 'real' field is supported, got {field!r}")
-    return fmt, symmetry
+    if symmetry not in symmetries:
+        raise ValueError(f"{path}: unsupported symmetry {symmetry!r}")
+    return nrows, ncols, symmetry
 
 
-def _data_lines(fh):
-    for line in fh:
-        line = line.strip()
-        if line and not line.startswith("%"):
-            yield line
+def _write(path, header, size, fmt, *columns):
+    """Write the banner, the size line and one ``fmt`` line per table row."""
+    table = np.column_stack(columns).ravel().tolist()
+    with open(path, "w") as fh:
+        fh.write(f"{_HEADER_PREFIX} matrix {header}\n{size}\n")
+        fh.write((fmt * len(columns[0])) % tuple(table))
 
 
 def read_matrix_market(path):
     """Read a coordinate Matrix Market file into a :class:`SparseOperator`."""
-    with open(path) as fh:
-        first = fh.readline()
-        fmt, symmetry = _parse_header(first, path)
-        if fmt != "coordinate":
-            raise ValueError(f"{path}: expected coordinate format, got {fmt!r}")
-        if symmetry not in ("general", "symmetric"):
-            raise ValueError(f"{path}: unsupported symmetry {symmetry!r}")
-        lines = _data_lines(fh)
-        try:
-            size = next(lines)
-        except StopIteration:
-            raise ValueError(f"{path}: missing size line") from None
-        try:
-            nrows, ncols, nnz = (int(tok) for tok in size.split())
-        except ValueError:
-            raise ValueError(f"{path}: malformed size line {size!r}") from None
-        if nrows != ncols:
-            raise ValueError(f"{path}: operator must be square, got {nrows}x{ncols}")
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        k = 0
-        for line in lines:
-            if k >= nnz:
-                raise ValueError(f"{path}: more entries than declared ({nnz})")
-            toks = line.split()
-            if len(toks) != 3:
-                raise ValueError(f"{path}: malformed entry line {line!r}")
-            rows[k] = int(toks[0]) - 1
-            cols[k] = int(toks[1]) - 1
-            vals[k] = float(toks[2])
-            k += 1
-        if k != nnz:
-            raise ValueError(f"{path}: expected {nnz} entries, found {k}")
-    if symmetry == "symmetric":
-        off = rows != cols
-        full_rows = np.concatenate([rows, cols[off]])
-        full_cols = np.concatenate([cols, rows[off]])
-        full_vals = np.concatenate([vals, vals[off]])
-        return SparseOperator.from_coo(nrows, full_rows, full_cols, full_vals, symmetric=True)
-    return SparseOperator.from_coo(nrows, rows, cols, vals, symmetric=False)
+    nrows, ncols, symmetry = _info(path, "coordinate", ("general", "symmetric"))
+    if nrows != ncols:
+        raise ValueError(f"{path}: operator must be square, got {nrows}x{ncols}")
+    # scipy mirrors the stored triangle of a symmetric file itself; its int32
+    # indices are widened to the int64 that the generators' operators carry
+    coo = scipy.io.mmread(path, spmatrix=False)
+    return SparseOperator.from_coo(nrows, coo.row.astype(np.int64), coo.col.astype(np.int64),
+                                   coo.data, symmetric=(symmetry == "symmetric"))
 
 
 def write_matrix_market(A, path):
@@ -87,39 +64,22 @@ def write_matrix_market(A, path):
 
     Symmetric operators store the lower triangle under a ``symmetric`` header.
     """
-    with open(path, "w") as fh:
-        symmetry = "symmetric" if A.symmetric else "general"
-        fh.write(f"{_HEADER_PREFIX} matrix coordinate real {symmetry}\n")
-        entries = []
-        for i in range(A.n):
-            sl = slice(A.indptr[i], A.indptr[i + 1])
-            for j, v in zip(A.indices[sl], A.data[sl]):
-                if A.symmetric and j > i:
-                    continue
-                entries.append((i + 1, j + 1, v))
-        fh.write(f"{A.n} {A.n} {len(entries)}\n")
-        for i, j, v in entries:
-            fh.write(f"{i} {j} {v:.16e}\n")
+    rows = np.repeat(np.arange(A.n), np.diff(A.indptr))
+    keep = A.indices <= rows if A.symmetric else slice(None)
+    rows, cols, vals = rows[keep], A.indices[keep], A.data[keep]
+    symmetry = "symmetric" if A.symmetric else "general"
+    _write(path, f"coordinate real {symmetry}", f"{A.n} {A.n} {vals.size}",
+           "%d %d %.16e\n", rows + 1, cols + 1, vals)
 
 
 def read_dense_matrix_market(path):
     """Read an array-format Matrix Market file into an (n, s) ndarray."""
-    with open(path) as fh:
-        fmt, symmetry = _parse_header(fh.readline(), path)
-        if fmt != "array":
-            raise ValueError(f"{path}: expected array format, got {fmt!r}")
-        if symmetry != "general":
-            raise ValueError(f"{path}: dense blocks must be 'general', got {symmetry!r}")
-        lines = _data_lines(fh)
-        nrows, ncols = (int(tok) for tok in next(lines).split())
-        vals = np.fromiter((float(line) for line in lines), dtype=np.float64, count=nrows * ncols)
-    return vals.reshape((ncols, nrows)).T.copy()
+    nrows, ncols, _ = _info(path, "array", ("general",))
+    if nrows * ncols == 0:  # scipy's reader dies on an empty array body
+        return np.zeros((nrows, ncols))
+    return scipy.io.mmread(path, spmatrix=False)
 
 
 def write_dense_matrix_market(M, path):
     M = np.asarray(M, dtype=np.float64)
-    with open(path, "w") as fh:
-        fh.write(f"{_HEADER_PREFIX} matrix array real general\n")
-        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for v in M.T.ravel():
-            fh.write(f"{v:.16e}\n")
+    _write(path, "array real general", f"{M.shape[0]} {M.shape[1]}", "%.16e\n", M.T.ravel())

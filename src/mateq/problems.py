@@ -4,7 +4,8 @@ Both differential operators are discretized with second-order centered finite
 differences on interior nodes of the unit square/cube under homogeneous
 Dirichlet boundary conditions, grid spacing ``h = 1/(n_g + 1)`` and nodes
 ``x_i = i h``.  The operators are emitted exactly as discretized; no sign
-flip is applied anywhere.
+flip is applied anywhere.  Both are assembled by one stencil builder that
+takes whole-grid arrays of couplings, so no loop runs per node.
 
 Right-hand-side blocks come from a seeded PCG64 generator (numpy's stream
 stability guarantees reproducibility across platforms), optionally scaled so
@@ -24,6 +25,30 @@ _FIELDS = {
 }
 
 
+def _stencil(n_g, dim, diag, coupling, symmetric):
+    """Assemble a ``2*dim + 1``-point stencil on the ``n_g**dim`` interior grid.
+
+    Nodes are numbered with axis 0 varying slowest.  ``coupling`` broadcasts
+    to shape ``(dim, 2) + (n_g,) * dim``: entry ``[a, 0]`` at a node is its
+    coupling to the neighbour one step down axis ``a``, ``[a, 1]`` the one
+    step up.  Couplings that would cross the boundary are dropped, which is
+    the homogeneous Dirichlet condition.
+    """
+    grid = (n_g,) * dim
+    node = np.arange(n_g ** dim).reshape(grid)
+    coupling = np.broadcast_to(coupling, (dim, 2) + grid)
+    rows, cols, vals = [node.ravel()], [node.ravel()], [np.full(node.size, diag)]
+    for a in range(dim):
+        lead = (slice(None),) * a
+        for d, (here, there) in enumerate(((slice(1, None), slice(None, -1)),
+                                           (slice(None, -1), slice(1, None)))):
+            rows.append(node[lead + (here,)].ravel())
+            cols.append(node[lead + (there,)].ravel())
+            vals.append(coupling[a, d][lead + (here,)].ravel())
+    return SparseOperator.from_coo(n_g ** dim, np.concatenate(rows), np.concatenate(cols),
+                                   np.concatenate(vals), symmetric=symmetric)
+
+
 def laplacian_2d(n_g):
     """Five-point discretization of -(u_xx + u_yy) on the unit square.
 
@@ -33,20 +58,7 @@ def laplacian_2d(n_g):
     if n_g < 2:
         raise ValueError("need at least 2 interior grid points per direction")
     h2 = (n_g + 1.0) ** 2  # 1/h^2
-    n = n_g * n_g
-    rows, cols, vals = [], [], []
-    for ix in range(n_g):
-        for iy in range(n_g):
-            i = ix * n_g + iy
-            rows.append(i)
-            cols.append(i)
-            vals.append(4.0 * h2)
-            for jx, jy in ((ix - 1, iy), (ix + 1, iy), (ix, iy - 1), (ix, iy + 1)):
-                if 0 <= jx < n_g and 0 <= jy < n_g:
-                    rows.append(i)
-                    cols.append(jx * n_g + jy)
-                    vals.append(-h2)
-    return SparseOperator.from_coo(n, rows, cols, vals, symmetric=True)
+    return _stencil(n_g, 2, 4.0 * h2, -h2, symmetric=True)
 
 
 def convdiff_3d(n_g, eps, field="wA"):
@@ -63,35 +75,12 @@ def convdiff_3d(n_g, eps, field="wA"):
         raise ValueError("viscosity must be positive")
     if field not in _FIELDS:
         raise ValueError(f"unknown convection field {field!r}")
-    wfun = _FIELDS[field]
     h = 1.0 / (n_g + 1.0)
     dif = eps * (n_g + 1.0) ** 2  # exact for integer widths, unlike eps/h/h
-    n = n_g ** 3
-    rows, cols, vals = [], [], []
-    for ix in range(n_g):
-        x = (ix + 1) * h
-        for iy in range(n_g):
-            y = (iy + 1) * h
-            for iz in range(n_g):
-                z = (iz + 1) * h
-                i = (ix * n_g + iy) * n_g + iz
-                w1, w2, w3 = wfun(x, y, z)
-                rows.append(i)
-                cols.append(i)
-                vals.append(6.0 * dif)
-                for (jx, jy, jz), w in (
-                    ((ix - 1, iy, iz), -w1),
-                    ((ix + 1, iy, iz), w1),
-                    ((ix, iy - 1, iz), -w2),
-                    ((ix, iy + 1, iz), w2),
-                    ((ix, iy, iz - 1), -w3),
-                    ((ix, iy, iz + 1), w3),
-                ):
-                    if 0 <= jx < n_g and 0 <= jy < n_g and 0 <= jz < n_g:
-                        rows.append(i)
-                        cols.append((jx * n_g + jy) * n_g + jz)
-                        vals.append(-dif + w / (2.0 * h))
-    return SparseOperator.from_coo(n, rows, cols, vals, symmetric=(field == "none"))
+    x = np.arange(1, n_g + 1) * h
+    w = _FIELDS[field](*np.meshgrid(x, x, x, indexing="ij"))
+    coupling = [(-dif - wa / (2.0 * h), -dif + wa / (2.0 * h)) for wa in w]
+    return _stencil(n_g, 3, 6.0 * dif, coupling, symmetric=(field == "none"))
 
 
 def random_rhs(n, s, seed, normalize=True, pair=False):

@@ -137,7 +137,9 @@ class SolveReport:
     after the per-cycle compressions.  ``peak_live_columns`` is the largest
     number of basis columns held simultaneously across all Krylov sessions.
     ``within_residual_bound`` says whether the true residual stays within
-    ``residual_bound`` (None for solvers that state no bound).
+    ``residual_bound`` (None for solvers that state no bound).  ``converged``
+    says that the last cheap residual is at most ``tol_res``; a restarted run
+    whose residual compresses to rank 0 before that stops unconverged.
     """
 
     solver: str
@@ -358,8 +360,7 @@ def restarted_sylv(A, B, C, D, config, verify=False):
 
     for _ in range(config.k_max + 1):
         sk = Ck.shape[1]
-        if sk == 0:
-            converged = True
+        if sk == 0:  # residual compressed away: nothing left to restart with
             break
         mk = config.memmax // (2 * sk) - 2
         _open_cycle(report, sk, mk)
@@ -455,8 +456,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
 
     for _ in range(config.k_max + 1):
         sk = Ck.shape[1]
-        if sk == 0:
-            converged = True
+        if sk == 0:  # residual compressed away: nothing left to restart with
             break
         mk = config.memmax // sk - 1
         _open_cycle(report, sk, mk)

@@ -171,6 +171,19 @@ def test_sksm_requires_symmetric():
         sksm_two_pass(A, rng.standard_normal((10, 1)), 1e-6, 10)
 
 
+@pytest.mark.parametrize("max_m", [0, -2])
+def test_sksm_rejects_nonpositive_max_m(max_m):
+    A = laplacian_2d(4)
+    with pytest.raises(ValueError, match="max_m"):
+        sksm_two_pass(A, np.ones((A.n, 1)), 1e-6, max_m)
+
+
+@pytest.mark.parametrize("restart", [0, -3])
+def test_inner_config_rejects_nonpositive_restart(restart):
+    with pytest.raises(ValueError, match="restart"):
+        InnerSolverConfig(kind="block-gmres", restart=restart)
+
+
 def test_sksm_two_pass_matches_stored_basis_reference():
     # reference: same Lanczos recurrence but with the whole basis stored
     rng = rng_for(10)

@@ -1,8 +1,76 @@
 import numpy as np
 import pytest
 
-from mateq import convdiff_3d, laplacian_2d, random_rhs
+from mateq import SparseOperator, convdiff_3d, laplacian_2d, random_rhs
+from mateq.problems import _FIELDS
 
+
+def _laplacian_2d_loop(n_g):
+    """Reference assembly: one node at a time, as the generator once did."""
+    h2 = (n_g + 1.0) ** 2
+    rows, cols, vals = [], [], []
+    for ix in range(n_g):
+        for iy in range(n_g):
+            i = ix * n_g + iy
+            rows.append(i)
+            cols.append(i)
+            vals.append(4.0 * h2)
+            for jx, jy in ((ix - 1, iy), (ix + 1, iy), (ix, iy - 1), (ix, iy + 1)):
+                if 0 <= jx < n_g and 0 <= jy < n_g:
+                    rows.append(i)
+                    cols.append(jx * n_g + jy)
+                    vals.append(-h2)
+    return SparseOperator.from_coo(n_g * n_g, rows, cols, vals, symmetric=True)
+
+
+def _convdiff_3d_loop(n_g, eps, field):
+    """Reference assembly: one node at a time, as the generator once did."""
+    wfun = _FIELDS[field]
+    h = 1.0 / (n_g + 1.0)
+    dif = eps * (n_g + 1.0) ** 2
+    rows, cols, vals = [], [], []
+    for ix in range(n_g):
+        x = (ix + 1) * h
+        for iy in range(n_g):
+            y = (iy + 1) * h
+            for iz in range(n_g):
+                z = (iz + 1) * h
+                i = (ix * n_g + iy) * n_g + iz
+                w1, w2, w3 = wfun(x, y, z)
+                rows.append(i)
+                cols.append(i)
+                vals.append(6.0 * dif)
+                for (jx, jy, jz), w in (
+                    ((ix - 1, iy, iz), -w1),
+                    ((ix + 1, iy, iz), w1),
+                    ((ix, iy - 1, iz), -w2),
+                    ((ix, iy + 1, iz), w2),
+                    ((ix, iy, iz - 1), -w3),
+                    ((ix, iy, iz + 1), w3),
+                ):
+                    if 0 <= jx < n_g and 0 <= jy < n_g and 0 <= jz < n_g:
+                        rows.append(i)
+                        cols.append((jx * n_g + jy) * n_g + jz)
+                        vals.append(-dif + w / (2.0 * h))
+    return SparseOperator.from_coo(n_g ** 3, rows, cols, vals, symmetric=(field == "none"))
+
+
+def _assert_same_operator(A, ref):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(ref, name)), name
+    assert A.symmetric == ref.symmetric
+
+
+@pytest.mark.parametrize("n_g", range(2, 8))
+def test_laplacian_matches_loop_reference(n_g):
+    _assert_same_operator(laplacian_2d(n_g), _laplacian_2d_loop(n_g))
+
+
+@pytest.mark.parametrize("field", ["wA", "wB", "none"])
+@pytest.mark.parametrize("eps", [0.01, 1.0])
+@pytest.mark.parametrize("n_g", range(2, 6))
+def test_convdiff_matches_loop_reference(n_g, eps, field):
+    _assert_same_operator(convdiff_3d(n_g, eps, field), _convdiff_3d_loop(n_g, eps, field))
 
 
 def test_laplacian_smallest_grid_stencil():

@@ -29,6 +29,9 @@ SOLVES = {
     "restarted-lyap": lambda: restarted_lyap(LAP, C_LAP, SolverConfig(memmax=32, tol_res=1e-8)),
     "restarted-lyap-k_max": lambda: restarted_lyap(
         LAP, C_LAP, SolverConfig(memmax=32, tol_res=1e-8, k_max=2)),
+    # a residual cut above tol_res compresses to rank 0 before the cheap residual converges
+    "restarted-lyap-rank0": lambda: restarted_lyap(
+        LAP, C_LAP, SolverConfig(memmax=16, tol_res=1e-8, tol_comp=1e-3)),
     "restarted-sylv": lambda: restarted_sylv(
         CD_A, CD_B, C_CD, D_CD, SolverConfig(memmax=48, tol_res=1e-8)),
     "eksm-lyap": lambda: eksm_lyap(LAP, C_LAP, CG, 1e-8, 60),
@@ -70,9 +73,12 @@ def test_finish_identities(name):
         assert rep.solution_ranks[-1] == rep.solution_rank
         assert rep.restarts >= 1
         assert rep.within_residual_bound == (rep.true_residual <= rep.residual_bound)
+        assert rep.converged == (rep.final_residual <= rep.tol_res)
     else:
         assert rep.residual_bound is None and rep.within_residual_bound is None
-    assert rep.converged == (name != "restarted-lyap-k_max")
+    if name == "restarted-lyap-rank0":
+        assert rep.residual_ranks[-1] == 0
+    assert rep.converged == (name not in ("restarted-lyap-k_max", "restarted-lyap-rank0"))
 
 
 def test_within_residual_bound_flags_a_run_cut_short():

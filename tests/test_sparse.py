@@ -216,6 +216,25 @@ def test_mm_rejects_bad_headers(tmp_path, header, err):
         read_matrix_market(path)
 
 
+_COO = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("read,text", [
+    (read_matrix_market, _COO + "2 2 1\n1 1 1.0\n2 2 1.0\n"),  # more entries than declared
+    (read_matrix_market, _COO + "2 2 3\n1 1 1.0\n2 2 1.0\n"),  # fewer entries
+    (read_matrix_market, _COO + "2 2 2\n1 1\n2 2 1.0\n"),  # two-token entry line
+    (read_matrix_market, _COO + "2 2 2\n1 1 1.0\n3 2 1.0\n"),  # row index out of range
+    (read_matrix_market, "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 1\n"),
+    (read_dense_matrix_market, "%%MatrixMarket matrix array real general\n3 2\n1.0\n2.0\n3.0\n"),
+], ids=["more", "fewer", "two-token", "row-range", "integer", "dense-truncated"])
+def test_mm_rejects_malformed_body(tmp_path, read, text):
+    path = os.path.join(tmp_path, "bad.mtx")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError):
+        read(path)
+
+
 def test_mm_rejects_nonsquare(tmp_path):
     path = os.path.join(tmp_path, "rect.mtx")
     with open(path, "w") as fh:
@@ -231,3 +250,10 @@ def test_dense_mm_roundtrip(tmp_path):
     write_dense_matrix_market(M, path)
     back = read_dense_matrix_market(path)
     assert np.array_equal(M, back)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 2), (3, 0)])
+def test_dense_mm_empty_block_roundtrip(tmp_path, shape):
+    path = os.path.join(tmp_path, "e.mtx")
+    write_dense_matrix_market(np.zeros(shape), path)
+    assert read_dense_matrix_market(path).shape == shape
