@@ -7,7 +7,7 @@ cycles.  Baselines (extended Krylov with inexact inner solves, two-pass block
 Lanczos), problem generators, and a benchmark CLI round out the package.
 """
 
-from .arnoldi import ArnoldiDecomposition, HappyBreakdown, arnoldi_extend, arnoldi_init
+from .arnoldi import ArnoldiDecomposition, arnoldi_extend, arnoldi_init
 from .baselines import (
     InnerSolverConfig,
     block_cg,

@@ -14,8 +14,9 @@ image falls nearly inside it: the tests hold ``||E.T E - I||_F <= 1e-12``
 for the extended basis E in that case.
 
 Rank deficiency of the incoming block is not deflated: a deficient starting
-block raises, and a deficient extension signals :class:`HappyBreakdown`
-carrying the decomposition whose range is (numerically) invariant under A.
+block raises, and a deficient extension is a happy breakdown, reported only
+through the session's ``breakdown`` flag: the basis is then (numerically)
+invariant under A and the session takes no further steps.
 """
 
 import numpy as np
@@ -24,22 +25,7 @@ from .errors import MemoryExhaustedError, RankDeficientBlockError
 from .linalg import orthonormalize_block, qr_economy
 from .sparse import spmm
 
-__all__ = ["ArnoldiDecomposition", "HappyBreakdown", "arnoldi_init", "arnoldi_extend"]
-
-
-class HappyBreakdown(Exception):
-    """The new block vanished after orthogonalization: the basis is invariant.
-
-    The attached decomposition is left at the step whose H column was just
-    completed; its boundary block holds the (tiny) remainder, so residual
-    formulas evaluate to (near) zero contributions from this side.
-    """
-
-    def __init__(self, decomposition):
-        super().__init__(
-            f"Krylov basis became invariant after {decomposition.m} block steps"
-        )
-        self.decomposition = decomposition
+__all__ = ["ArnoldiDecomposition", "arnoldi_init", "arnoldi_extend"]
 
 
 class ArnoldiDecomposition:
@@ -74,6 +60,12 @@ class ArnoldiDecomposition:
         """Block upper-Hessenberg projection, (m*s) x (m*s)."""
         ms = self.m * self.s
         return self._Hbar[:ms, :ms]
+
+    @property
+    def Hbar(self):
+        """H with the boundary block stacked below it, ((m+1)*s) x (m*s)."""
+        ms = self.m * self.s
+        return self._Hbar[: ms + self.s, :ms]
 
     @property
     def boundary(self):
@@ -122,12 +114,14 @@ def arnoldi_extend(dec):
     """Advance the decomposition by one block step (exactly one spmm).
 
     Fills H's next block column, orthonormalizes the new block against the
-    whole basis, and appends it.  Raises :class:`HappyBreakdown` when the new
-    block is numerically rank deficient after orthogonalization; the H column
-    completed in this call remains valid.
+    whole basis, and appends it.  A new block that is numerically rank
+    deficient after orthogonalization is a happy breakdown: ``dec.breakdown``
+    is set and the H column completed in this call remains valid, with the
+    (tiny) remainder as its boundary block.  A call on a session that has
+    broken down returns at once and applies no operator.
     """
     if dec.breakdown:
-        raise HappyBreakdown(dec)
+        return dec
     if dec.m >= dec.max_steps:
         raise MemoryExhaustedError(
             f"decomposition capacity of {dec.max_steps} block steps exhausted"
@@ -143,5 +137,4 @@ def arnoldi_extend(dec):
     dec.m = j + 1
     if np.abs(np.diagonal(Rn)).min() <= 1e-12 * dec.op_norm_est:
         dec.breakdown = True
-        raise HappyBreakdown(dec)
     return dec

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arnoldi import HappyBreakdown, arnoldi_extend, arnoldi_init
+from .arnoldi import arnoldi_extend, arnoldi_init
 from .compression import LowRankFactorPair, SymLowRankFactor, TruncationRule, _eig_by_magnitude
 from .dense_eq import solve_lyapunov_ldlt, solve_sylvester_dense
 from .errors import (
@@ -99,10 +99,11 @@ def block_gmres(A, RHS, cfg, counter):
     """Restarted block GMRES for a nonsingular operator.
 
     Each cycle builds a block Arnoldi basis of at most ``cfg.restart`` steps
-    and minimizes the residual over it through a small least-squares solve.
+    and minimizes the residual over it through a small least-squares solve
+    on the session's stored ``Hbar``.
     """
     RHS = np.asarray(RHS, dtype=np.float64)
-    n, s = RHS.shape
+    _, s = RHS.shape
     rhs_norm = np.linalg.norm(RHS)
     if rhs_norm == 0:
         return np.zeros_like(RHS)
@@ -122,22 +123,16 @@ def block_gmres(A, RHS, cfg, counter):
                 f"block GMRES restart block is rank deficient at residual "
                 f"{np.linalg.norm(R) / rhs_norm:.3e} (deflation unsupported): {exc}"
             ) from exc
-        rhs_small = dec.r0 * scale
+        E1R = np.zeros(((dec.max_steps + 1) * s, s))
+        E1R[:s, :] = dec.r0 * scale
         Y = None
         for _ in range(dec.max_steps):
-            try:
-                arnoldi_extend(dec)
-            except HappyBreakdown:
-                pass
+            arnoldi_extend(dec)
             total += 1
-            j = dec.m
-            Hbar = np.zeros(((j + 1) * s, j * s))
-            Hbar[: j * s, :] = dec.H
-            Hbar[j * s :, (j - 1) * s :] = dec.boundary
-            E1R = np.zeros(((j + 1) * s, s))
-            E1R[:s, :] = rhs_small
-            Y, _, _, _ = np.linalg.lstsq(Hbar, E1R, rcond=None)
-            res = np.linalg.norm(Hbar @ Y - E1R)
+            Hbar = dec.Hbar
+            rhs = E1R[: Hbar.shape[0]]
+            Y, _, _, _ = np.linalg.lstsq(Hbar, rhs, rcond=None)
+            res = np.linalg.norm(Hbar @ Y - rhs)
             if res <= cfg.tol * rhs_norm or dec.breakdown:
                 break
         X += dec.basis @ Y

@@ -46,20 +46,19 @@ def _build_parser():
     p = _Parser(prog="mateq", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_problem_flags(sp, rhs=True):
+    def add_problem_flags(sp):
         sp.add_argument("--problem", required=True, choices=["laplacian2d", "convdiff3d", "file"])
         sp.add_argument("--n", type=int, default=0, help="grid points per direction")
         sp.add_argument("--eps", type=float, default=0.01, help="convdiff3d viscosity")
         sp.add_argument("--field", default="wA", choices=["wA", "wB", "none"])
         sp.add_argument("--a-file", help="operator file for --problem file")
         sp.add_argument("--b-file", help="second operator file (Sylvester form)")
-        if rhs:
-            sp.add_argument("--s", type=int, default=3, help="right-hand-side block width")
-            sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--normalize", action="store_true",
-                            help="scale the right-hand side to unit Frobenius norm")
-            sp.add_argument("--c-file", help="right-hand-side block file")
-            sp.add_argument("--d-file", help="second right-hand-side block file")
+        sp.add_argument("--s", type=int, default=3, help="right-hand-side block width")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--normalize", action="store_true",
+                        help="scale the right-hand side to unit Frobenius norm")
+        sp.add_argument("--c-file", help="right-hand-side block file")
+        sp.add_argument("--d-file", help="second right-hand-side block file (Sylvester form)")
 
     g = sub.add_parser("gen", help="write generated operator/right-hand side")
     add_problem_flags(g)
@@ -98,62 +97,60 @@ def _add_solver_flags(sp):
 
 
 def _build_problem(args, single=False):
-    """Assemble the problem operators; returns a dict.
+    """Assemble the problem operators and decide its equation form, once.
 
+    The form is Lyapunov, A X + X A* + C C* = 0, exactly when there is no
+    second operator and no ``--d-file``; otherwise it is Sylvester,
+    A X + X B + C D* = 0.  ``B`` is always set: a missing second operator is
+    A*, so a Sylvester solver handed a Lyapunov problem solves that problem.
     With ``single=True`` (the ``gen`` command) a convection-diffusion problem
-    yields only the operator selected by ``--field``; solvers always get the
-    benchmark pair (wA, wB).
+    yields only the operator selected by ``--field``, without a ``B``, and
+    keeps the Sylvester form; solvers always get the benchmark pair (wA, wB).
     """
+    if args.problem in ("laplacian2d", "convdiff3d") and args.n < 2:
+        raise ValueError(f"{args.problem} needs --n >= 2")
     if args.problem == "laplacian2d":
-        if args.n < 2:
-            raise ValueError("laplacian2d needs --n >= 2")
-        A = laplacian_2d(args.n)
-        return {"A": A, "B": None, "lyap": True}
-    if args.problem == "convdiff3d":
-        if args.n < 2:
-            raise ValueError("convdiff3d needs --n >= 2")
+        A, B = laplacian_2d(args.n), None
+    elif args.problem == "convdiff3d":
         if single:
             return {"A": convdiff_3d(args.n, args.eps, args.field), "B": None, "lyap": False}
-        A = convdiff_3d(args.n, args.eps, "wA")
-        B = convdiff_3d(args.n, args.eps, "wB")
-        return {"A": A, "B": B, "lyap": False}
-    if not args.a_file:
+        A, B = convdiff_3d(args.n, args.eps, "wA"), convdiff_3d(args.n, args.eps, "wB")
+    elif not args.a_file:
         raise ValueError("--problem file requires --a-file")
-    A = read_matrix_market(args.a_file)
-    B = read_matrix_market(args.b_file) if args.b_file else None
-    return {"A": A, "B": B, "lyap": B is None}
+    else:
+        A = read_matrix_market(args.a_file)
+        B = read_matrix_market(args.b_file) if args.b_file else None
+    lyap = B is None and not args.d_file
+    return {"A": A, "B": A.transpose() if B is None else B, "lyap": lyap}
 
 
 def _build_rhs(args, prob):
-    n = prob["A"].n
-    if getattr(args, "c_file", None):
+    """Right-hand-side factors (C, D); D is C in the Lyapunov form."""
+    if args.c_file:
         C = read_dense_matrix_market(args.c_file)
-        D = read_dense_matrix_market(args.d_file) if getattr(args, "d_file", None) else None
-        return C, D
+        return C, read_dense_matrix_market(args.d_file) if args.d_file else C
     if prob["lyap"]:
-        return random_rhs(n, args.s, args.seed, args.normalize), None
-    C, D = random_rhs(n, args.s, args.seed, args.normalize, pair=True)
-    return C, D
+        C = random_rhs(prob["A"].n, args.s, args.seed, args.normalize)
+        return C, C
+    return random_rhs(prob["A"].n, args.s, args.seed, args.normalize, pair=True)
 
 
 def _run_solver(name, args, prob):
-    A, B = prob["A"], prob["B"]
+    A, B, lyap_form = prob["A"], prob["B"], prob["lyap"]
     C, D = _build_rhs(args, prob)
-    lyap_form = D is None
     cfg = SolverConfig(
         memmax=args.memmax, k_max=args.max_restarts, tol_res=args.tol_res,
         tol_comp=args.tol_comp, norm=_NORMS[args.norm],
     )
     if name == "restarted-lyap":
         if not lyap_form:
-            raise ValueError("restarted-lyap needs a Lyapunov-form problem (single operator)")
-        fac, rep = restarted_lyap(A, C, cfg, verify=args.verify,
-                                  project_spsd=args.psd_project)
+            raise ValueError("restarted-lyap needs a Lyapunov-form problem "
+                             "(one operator, no --d-file)")
+        _, rep = restarted_lyap(A, C, cfg, verify=args.verify,
+                                project_spsd=args.psd_project)
         return rep
     if name == "restarted-sylv":
-        Bop = B if B is not None else A
-        Dblk = D if D is not None else C
-        _, rep = restarted_sylv(A, Bop, C, Dblk, cfg, verify=args.verify)
+        _, rep = restarted_sylv(A, B, C, D, cfg, verify=args.verify)
         return rep
     if name in ("eksm-bcg", "eksm-bgmres"):
         kind = "block-cg" if name == "eksm-bcg" else "block-gmres"
@@ -216,7 +213,7 @@ def _cmd_gen(args):
         C, D = _build_rhs(args, prob)
         write_dense_matrix_market(C, args.rhs_out)
         print(f"wrote {C.shape[0]}x{C.shape[1]} right-hand side to {args.rhs_out}")
-        if D is not None:
+        if D is not C:
             path = args.rhs_out.replace(".mtx", "_D.mtx") if args.rhs_out.endswith(".mtx") else args.rhs_out + ".D"
             write_dense_matrix_market(D, path)
             print(f"wrote second right-hand-side factor to {path}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _qr_reduced_signed, eig_sym, orthonormalize_block, svd
+from .linalg import _qr_reduced_signed, check_symmetric, eig_sym, orthonormalize_block, svd
 
 __all__ = ["TruncationRule", "LowRankFactorPair", "SymLowRankFactor", "BasisFactor",
            "compress", "compress_sym", "psd_project"]
@@ -91,9 +91,7 @@ class SymLowRankFactor:
             raise ValueError(f"factor is {C.shape}, middle must be ({p}, {p}), got {S.shape}")
         if (C.size and not np.isfinite(C).all()) or (S.size and not np.isfinite(S).all()):
             raise ValueError("factors contain non-finite entries")
-        nS = np.linalg.norm(S)
-        if np.linalg.norm(S - S.T) > 1e-12 * max(nS, 1e-300):
-            raise ValueError("middle factor S must be symmetric")
+        check_symmetric(S, "S")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "S", S)
 

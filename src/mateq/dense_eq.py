@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatchError, SingularOperatorError
-from .linalg import _as_matrix
+from .linalg import _as_matrix, check_symmetric
 
 __all__ = ["solve_sylvester_dense", "solve_lyapunov_ldlt", "kron_oracle"]
 
@@ -90,9 +90,7 @@ def solve_lyapunov_ldlt(H, Ctil, S):
         raise DimensionMismatchError(
             f"incompatible shapes H{H.shape}, Ctil{Ctil.shape}, S{S.shape}"
         )
-    nS = np.linalg.norm(S)
-    if np.linalg.norm(S - S.T) > 1e-12 * max(nS, 1e-300):
-        raise ValueError("middle factor S must be symmetric")
+    check_symmetric(S, "S")
     S = 0.5 * (S + S.T)
     W = Ctil @ S @ Ctil.T
     W = 0.5 * (W + W.T)

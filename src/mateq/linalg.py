@@ -15,7 +15,8 @@ import scipy.linalg
 
 from .errors import DimensionMismatchError, NonConvergenceError
 
-__all__ = ["qr_economy", "orthonormalize_block", "svd", "eig_sym", "real_schur"]
+__all__ = ["qr_economy", "orthonormalize_block", "svd", "eig_sym", "real_schur",
+           "check_symmetric"]
 
 
 def _as_matrix(M, name="matrix"):
@@ -25,6 +26,16 @@ def _as_matrix(M, name="matrix"):
     if M.size and not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
+
+
+def check_symmetric(M, name="matrix"):
+    """Raise ``ValueError`` if ``||M - M.T||_F`` exceeds ``1e-12 * ||M||_F``."""
+    nrm = np.linalg.norm(M)
+    asym = np.linalg.norm(M - M.T)
+    if asym > 1e-12 * max(nrm, 1e-300):
+        raise ValueError(
+            f"{name} is not symmetric: ||{name} - {name}.T|| = {asym:.3e}, ||{name}|| = {nrm:.3e}"
+        )
 
 
 def _fix_vector_signs(U, *companions):
@@ -124,10 +135,7 @@ def eig_sym(M):
     M = _as_matrix(M, "M")
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"eig_sym needs a square matrix, got {M.shape}")
-    nrm = np.linalg.norm(M)
-    asym = np.linalg.norm(M - M.T)
-    if asym > 1e-12 * max(nrm, 1e-300):
-        raise ValueError(f"matrix is not symmetric: ||M - M.T|| = {asym:.3e}, ||M|| = {nrm:.3e}")
+    check_symmetric(M, "M")
     Msym = 0.5 * (M + M.T)
     try:
         lam, W = np.linalg.eigh(Msym)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arnoldi import HappyBreakdown, arnoldi_extend, arnoldi_init
+from .arnoldi import arnoldi_extend, arnoldi_init
 from .compression import (
     BasisFactor,
     SymLowRankFactor,
@@ -313,16 +313,6 @@ def _residual_factor(dec, W, boundary_first):
     return BasisFactor(dec.extended_basis, np.zeros((dec.n, 0)), K)
 
 
-def _try_extend(dec):
-    """Extend unless already broken down; swallow the breakdown signal."""
-    if dec.breakdown:
-        return
-    try:
-        arnoldi_extend(dec)
-    except HappyBreakdown:
-        pass
-
-
 def restarted_sylv(A, B, C, D, config, verify=False):
     """Memory-budgeted restarted solver for A X + X B + C D* = 0.
 
@@ -370,8 +360,8 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         flagconv = False
         Y = None
         for _ in range(mk):
-            _try_extend(dec_a)
-            _try_extend(dec_b)
+            arnoldi_extend(dec_a)
+            arnoldi_extend(dec_b)
             peak = max(peak, dec_a.materialized_columns + dec_b.materialized_columns)
             ka, kb = dec_a.m * sk, dec_b.m * sk
             F = np.zeros((ka, kb))
@@ -464,7 +454,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         flagconv = False
         Y = None
         for _ in range(mk):
-            _try_extend(dec)
+            arnoldi_extend(dec)
             peak = max(peak, dec.materialized_columns)
             kk = dec.m * sk
             Ctil = np.zeros((kk, sk))

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from mateq import (
-    HappyBreakdown,
-    OpCounter,
-    SparseOperator,
-    arnoldi_extend,
-    arnoldi_init,
-)
+from mateq import OpCounter, SparseOperator, arnoldi_extend, arnoldi_init
 from mateq.errors import RankDeficientBlockError
 
 from conftest import as_op, rng_for, spd_dense, stable_dense
@@ -54,11 +48,39 @@ def test_identity_operator_breaks_down_happily():
     rng = rng_for(4)
     C = rng.standard_normal((10, 2))
     dec = arnoldi_init(SparseOperator.identity(10), C, OpCounter(), max_steps=3)
-    with pytest.raises(HappyBreakdown):
-        arnoldi_extend(dec)
+    assert arnoldi_extend(dec) is dec
     assert dec.breakdown
     assert np.allclose(dec.H, np.eye(2), atol=1e-14)
     assert np.linalg.norm(dec.boundary) <= 1e-12
+
+
+def test_extend_after_breakdown_is_a_no_op():
+    rng = rng_for(4)
+    cnt = OpCounter()
+    dec = arnoldi_init(SparseOperator.identity(10), rng.standard_normal((10, 2)), cnt,
+                       max_steps=3)
+    arnoldi_extend(dec)
+    assert dec.breakdown and dec.m == 1 and cnt.a_calls == 1
+    H, basis, Q = dec.H.copy(), dec.basis.copy(), dec._Q.copy()
+    for _ in range(3):  # more calls than the remaining capacity: none is a step
+        assert arnoldi_extend(dec) is dec
+    assert dec.breakdown and dec.m == 1
+    assert cnt.a_calls == 1 and cnt.matvecs == 2
+    assert np.array_equal(dec.H, H)
+    assert np.array_equal(dec.basis, basis)
+    assert np.array_equal(dec._Q, Q)
+
+
+def test_hbar_stacks_h_on_boundary():
+    rng = rng_for(10)
+    dec = arnoldi_init(as_op(stable_dense(rng, 20)), rng.standard_normal((20, 2)),
+                       OpCounter(), max_steps=4)
+    for m in range(1, 5):
+        arnoldi_extend(dec)
+        ref = np.zeros(((m + 1) * 2, m * 2))
+        ref[: m * 2, :] = dec.H
+        ref[m * 2 :, (m - 1) * 2 :] = dec.boundary
+        assert np.array_equal(dec.Hbar, ref)
 
 
 def test_symmetric_operator_gives_block_tridiagonal():
@@ -114,9 +136,9 @@ def test_partial_rank_deficiency_keeps_remainder():
     A = as_op(Ad)
     C = rng.standard_normal((12, 2))
     dec = arnoldi_init(A, C, OpCounter(), max_steps=4)
-    with pytest.raises(HappyBreakdown):
-        for _ in range(4):
-            arnoldi_extend(dec)
+    for _ in range(4):
+        arnoldi_extend(dec)
+    assert dec.breakdown and dec.m < 4
     img = dec.boundary_image()
     assert img.shape == (12, 2)
     # the remainder is exactly the out-of-space part of A @ U_m's last block
@@ -139,9 +161,8 @@ def test_extended_basis_orthonormal_when_image_nearly_inside_basis(delta):
     C[:k] = rng.standard_normal((k, s))
     dec = arnoldi_init(as_op(Ad), C, OpCounter(), max_steps=7)
     for _ in range(7):
-        try:
-            arnoldi_extend(dec)
-        except HappyBreakdown:
+        arnoldi_extend(dec)
+        if dec.breakdown:
             break
         E = dec.extended_basis
         assert np.linalg.norm(E.T @ E - np.eye(E.shape[1])) <= 1e-12

@@ -13,7 +13,8 @@ from mateq import (
     laplacian_2d,
     sksm_two_pass,
 )
-from mateq.errors import IndefiniteOperatorError, MemoryExhaustedError
+from mateq import baselines
+from mateq.errors import IndefiniteOperatorError, LossOfOrthogonalityError, MemoryExhaustedError
 
 from conftest import as_op, rng_for, spd_dense, stable_dense
 
@@ -176,6 +177,21 @@ def test_sksm_rejects_nonpositive_max_m(max_m):
     A = laplacian_2d(4)
     with pytest.raises(ValueError, match="max_m"):
         sksm_two_pass(A, np.ones((A.n, 1)), 1e-6, max_m)
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_sksm_verify_guards_against_residual_gap(monkeypatch, verify):
+    # a true residual far above the cheap one is what lost orthogonality looks like
+    monkeypatch.setattr(baselines, "true_residual_lyap", lambda *args: 1e3)
+    A = laplacian_2d(6)
+    C = rng_for(12).standard_normal((A.n, 2))
+    if verify:
+        with pytest.raises(LossOfOrthogonalityError):
+            sksm_two_pass(A, C, 1e-6, 40, verify=True)
+    else:
+        _, rep = sksm_two_pass(A, C, 1e-6, 40, verify=False)
+        assert rep.converged and rep.final_residual <= 1e-6
+        assert rep.true_residual == 1e3
 
 
 @pytest.mark.parametrize("restart", [0, -3])

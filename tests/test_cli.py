@@ -2,8 +2,16 @@ import json
 import os
 
 import numpy as np
+import pytest
 
-from mateq import laplacian_2d, read_dense_matrix_market, read_matrix_market
+from mateq import (
+    SolverConfig,
+    laplacian_2d,
+    random_rhs,
+    read_dense_matrix_market,
+    read_matrix_market,
+    restarted_sylv,
+)
 from mateq.cli import main
 
 
@@ -147,3 +155,47 @@ def test_solve_convdiff_sylvester_path(tmp_path):
     assert code == 0
     rep = json.load(open(rep_path))
     assert rep["counters"]["A"]["a_calls"] == rep["counters"]["B"]["a_calls"]
+
+
+def _convdiff_files(tmp_path):
+    """convdiff_3d(6) wA and wB operator files plus one right-hand-side block file."""
+    paths = {k: str(tmp_path / f"{k}.mtx") for k in ("A", "B", "C")}
+    for field, key in (("wA", "A"), ("wB", "B")):
+        assert run(["gen", "--problem", "convdiff3d", "--n", "6", "--field", field,
+                    "--out", paths[key], "--rhs-out", paths["C"], "--s", "2",
+                    "--seed", "4", "--normalize"]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("solver", ["restarted-lyap", "eksm-bgmres"])
+def test_second_operator_file_makes_a_sylvester_problem(tmp_path, solver):
+    # A, B and C files with no --d-file: the form is A X + X B + C C* = 0
+    paths = _convdiff_files(tmp_path)
+    rep_path = str(tmp_path / "r.json")
+    code = run(["solve", "--problem", "file", "--a-file", paths["A"], "--b-file", paths["B"],
+                "--c-file", paths["C"], "--solver", solver, "--memmax", "200",
+                "--tol-res", "1e-6", "--out", rep_path])
+    if solver == "restarted-lyap":
+        assert code == 1  # a Lyapunov solver cannot take the second operator
+        assert not os.path.exists(rep_path)
+    else:
+        assert code == 0
+        rep = json.load(open(rep_path))
+        assert rep["counters"]["B"]["a_calls"] > 0
+
+
+def test_sylvester_solver_on_one_operator_uses_its_transpose(tmp_path):
+    # A X + X A* + C C* = 0 as a Sylvester equation has B = A*, not A
+    paths = _convdiff_files(tmp_path)
+    rep_path = str(tmp_path / "r.json")
+    code = run(["solve", "--problem", "file", "--a-file", paths["A"], "--s", "2",
+                "--seed", "5", "--normalize", "--solver", "restarted-sylv",
+                "--memmax", "160", "--tol-res", "1e-6", "--out", rep_path])
+    assert code == 0
+    rep = json.load(open(rep_path))
+    A = read_matrix_market(paths["A"])
+    assert not A.symmetric
+    C = random_rhs(A.n, 2, 5, True)
+    _, ref = restarted_sylv(A, A.transpose(), C, C, SolverConfig(memmax=160, tol_res=1e-6))
+    assert rep["residual_history"] == ref.residual_history
+    assert rep["true_residual"] == ref.true_residual

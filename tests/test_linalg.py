@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mateq import eig_sym, qr_economy, real_schur, svd
-from mateq.linalg import _fix_vector_signs, orthonormalize_block
+from mateq.linalg import _fix_vector_signs, check_symmetric, orthonormalize_block
 from mateq.errors import DimensionMismatchError
 
 from conftest import rng_for
@@ -120,6 +120,21 @@ def test_eig_sym_trace_invariance():
 def test_eig_sym_rejects_asymmetric():
     with pytest.raises(ValueError):
         eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-60, 1e60])
+def test_check_symmetric_threshold_is_relative(scale):
+    M = scale * np.array([[2.0, 1.0], [1.0, 3.0]])
+    nrm = np.linalg.norm(M)
+    check_symmetric(M)
+    check_symmetric(np.zeros((0, 0)))
+    near = M.copy()
+    near[0, 1] += 0.5e-12 * nrm  # ||M - M.T|| = sqrt(2) * 0.5e-12 ||M||
+    check_symmetric(near)
+    far = M.copy()
+    far[0, 1] += 1e-12 * nrm
+    with pytest.raises(ValueError, match="S is not symmetric"):
+        check_symmetric(far, "S")
 
 
 def test_eig_sym_spsd_floor():
