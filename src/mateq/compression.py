@@ -109,7 +109,12 @@ class BasisFactor:
 
     ``Q`` (n x q) has orthonormal columns, ``Z`` (n x z) holds any extra
     columns and ``K`` ((q + z) x w) is the coefficient matrix; the factor has
-    w columns.  :meth:`plain` wraps an ordinary n x w factor (q = 0).
+    w columns.  :meth:`plain` wraps a copy of an ordinary n x w factor
+    (q = 0).
+
+    :func:`compress` and :func:`compress_sym` may overwrite ``Z``: a
+    Fortran-ordered ``Z`` is orthonormalized in place, any other on a copy
+    (as LAPACK's overwrite flags do), so its caller should not read it again.
     """
 
     Q: np.ndarray
@@ -125,7 +130,7 @@ class BasisFactor:
 
     @classmethod
     def plain(cls, C):
-        return cls(np.zeros((C.shape[0], 0)), C, np.eye(C.shape[1]))
+        return cls(np.zeros((C.shape[0], 0)), np.array(C, order="F"), np.eye(C.shape[1]))
 
     def to_dense(self):
         q = self.Q.shape[1]
@@ -138,12 +143,13 @@ def _orthonormalize(f):
     ``[Q, Q2]`` and ``U`` have orthonormal columns and ``T`` is no taller
     than it is wide, so the truncation core built from ``T`` has the
     factor's width, not the basis's.  ``Z`` is orthonormalized against ``Q``
-    by :func:`orthonormalize_block` on a copy, so ``[Q, Q2]`` stays
-    orthonormal even when new columns lie nearly inside ``span(Q)``.
+    by :func:`orthonormalize_block`, in place when it is Fortran-ordered, so
+    ``[Q, Q2]`` stays orthonormal even when new columns lie nearly inside
+    ``span(Q)``.
     """
     Q, Z, K = f.Q, f.Z, f.K
     q = Q.shape[1]
-    Q2 = np.array(Z, order="F")
+    Q2 = np.asarray(Z, order="F")
     P, R2 = orthonormalize_block(Q, Q2)
     R = np.vstack([K[:q] + P @ K[q:], R2 @ K[q:]])
     if R.shape[0] > R.shape[1]:

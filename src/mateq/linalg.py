@@ -29,12 +29,23 @@ def _as_matrix(M, name="matrix"):
 
 
 def check_symmetric(M, name="matrix"):
-    """Raise ``ValueError`` if ``||M - M.T||_F`` exceeds ``1e-12 * ||M||_F``."""
-    nrm = np.linalg.norm(M)
-    asym = np.linalg.norm(M - M.T)
-    if asym > 1e-12 * max(nrm, 1e-300):
+    """Raise ``ValueError`` if ``||M - M.T||_F`` exceeds ``1e-12 * ||M||_F``.
+
+    Both norms are taken of ``M`` scaled by the power of two nearest above
+    ``max|M|``, exactly, so they neither underflow nor overflow at extreme
+    scales; a zero matrix is symmetric.
+    """
+    top = np.abs(M).max(initial=0.0)
+    if top == 0.0:
+        return
+    exp = np.frexp(top)[1]
+    Ms = np.ldexp(M, -exp)
+    nrm = np.linalg.norm(Ms)
+    asym = np.linalg.norm(Ms - Ms.T)
+    if asym > 1e-12 * nrm:
         raise ValueError(
-            f"{name} is not symmetric: ||{name} - {name}.T|| = {asym:.3e}, ||{name}|| = {nrm:.3e}"
+            f"{name} is not symmetric: ||{name} - {name}.T|| = {np.ldexp(asym, exp):.3e}, "
+            f"||{name}|| = {np.ldexp(nrm, exp):.3e}"
         )
 
 

@@ -10,10 +10,18 @@ case the two blocks coincide up to transposition, giving the sqrt(2) factor.
 The ``true_residual_*`` helpers measure the residual of a factored approximate
 solution at full problem size without ever forming an n x n matrix: the
 residual is a short sum of outer products, so the R factor of a QR of the
-stacked factors reduces the norm to a small core (the norm does not depend
-on R's row signs, so Q is never formed).  Operator applications here are
-diagnostic and not charged to any counter.  ``explicit_residual_*`` form the
-dense residual outright and are meant for small-n verification only.
+stacked factors (``[A XL, XL, C]``, and ``[XR, B* XR, D]`` on the right)
+reduces the norm to a small core (the norm does not depend on R's row signs,
+so Q is never formed).  R comes from a row-blocked TSQR: the stacked factor
+is built one row slice at a time, from the operator's rows in that slice,
+and the slices' R factors are merged pairwise up a binary tree.  A slice
+holds about ``_SLICE_COLUMNS`` columns' worth of n entries (at least
+``_SLICE_ASPECT`` times the width in rows), so besides its inputs the check
+holds a few n-columns and a few width-squared blocks per tree level, never
+the ``2 r + s`` stacked full-length columns.  Operator applications here
+are diagnostic and not charged to any counter.  ``explicit_residual_*``
+form the dense residual outright and are meant for small-n verification
+only.
 """
 
 import numpy as np
@@ -26,6 +34,13 @@ __all__ = [
     "explicit_residual_sylv",
     "explicit_residual_lyap",
 ]
+
+# A row slice of a stacked factor holds about _SLICE_COLUMNS n-columns, and is
+# at least _SLICE_ASPECT times as tall as the factor is wide, so that merging
+# two R factors (a QR of 2 width x width) costs at most about half of what
+# factoring the slices does.
+_SLICE_COLUMNS = 4
+_SLICE_ASPECT = 4
 
 
 def _norm(M, norm):
@@ -62,22 +77,48 @@ def residual_norm_lyap(H_boundary, Y, norm="frobenius"):
     return _norm(low, norm)
 
 
+def _stacked_r(n, width, rows_of):
+    """R factor of the n x ``width`` matrix whose row slices ``rows_of(rows)`` returns.
+
+    TSQR over a binary reduction tree (Demmel, Grigori, Hoemmen & Langou,
+    SISC 2012): each slice's R is merged with the pending R of the same
+    level, as in a binary counter, so one slice and at most log2(slices) + 1
+    small R factors exist at a time and every row passes through that many
+    QRs.  ``R.T @ R`` is the whole matrix's Gram matrix.  A flat chain (one
+    more QR of the running R per slice) costs the same but was several times
+    less accurate on the benchmark's Lyapunov residuals.
+    """
+    height = max(-(-_SLICE_COLUMNS * n // max(width, 1)), _SLICE_ASPECT * width, 1)
+    pending = []  # (R, level) with strictly decreasing levels
+    for start in range(0, n, height):
+        R, level = np.linalg.qr(rows_of(slice(start, start + height)), mode="r"), 0
+        while pending and pending[-1][1] == level:
+            R = np.linalg.qr(np.vstack([pending.pop()[0], R]), mode="r")
+            level += 1
+        pending.append((R, level))
+    R = pending.pop()[0] if pending else np.zeros((0, width))
+    while pending:
+        R = np.linalg.qr(np.vstack([pending.pop()[0], R]), mode="r")
+    return R
+
+
 def true_residual_sylv(A, B, C, D, XL, XR, norm="frobenius"):
-    """||A X + X B + C D*|| for X = XL XR* via stacked-factor QR."""
+    """||A X + X B + C D*|| for X = XL XR* via row-blocked stacked-factor QR."""
     Bt = B.transpose()
-    WL = np.hstack([A.apply(XL) if XL.shape[1] else XL, XL, C])
-    WR = np.hstack([XR, Bt.apply(XR) if XR.shape[1] else XR, D])
-    RL = np.linalg.qr(WL, mode="r")
-    RR = np.linalg.qr(WR, mode="r")
+    width = 2 * XL.shape[1] + C.shape[1]
+    RL = _stacked_r(A.n, width,
+                    lambda rows: np.hstack([A.apply_rows(XL, rows), XL[rows], C[rows]]))
+    RR = _stacked_r(A.n, width,
+                    lambda rows: np.hstack([XR[rows], Bt.apply_rows(XR, rows), D[rows]]))
     return _norm(RL @ RR.T, norm)
 
 
 def true_residual_lyap(A, C, XL, S, norm="frobenius"):
-    """||A X + X A* + C C*|| for X = XL S XL* via stacked-factor QR."""
+    """||A X + X A* + C C*|| for X = XL S XL* via row-blocked stacked-factor QR."""
     r = XL.shape[1]
     s = C.shape[1]
-    W = np.hstack([A.apply(XL) if r else XL, XL, C])
-    R = np.linalg.qr(W, mode="r")
+    R = _stacked_r(A.n, 2 * r + s,
+                   lambda rows: np.hstack([A.apply_rows(XL, rows), XL[rows], C[rows]]))
     K = np.zeros((2 * r + s, 2 * r + s))
     K[:r, r : 2 * r] = S
     K[r : 2 * r, :r] = S

@@ -19,6 +19,14 @@ compressed residual factors are orthonormal too and start the next cycle
 without a QR.  ``restarted_lyap`` on an operator flagged symmetric solves
 with the exactly symmetric ``0.5 (H + H.T)`` (the eigh route).
 
+Memory at a cycle's end is released in reading order: the restart residual
+is compressed first, while only the Arnoldi bases and the running solution
+are held; then the new solution columns ``V_m W`` are formed, Fortran-ordered
+so that compression orthonormalizes them in place, and each basis is dropped
+as soon as they are; only then is the solution compressed.  The restart
+block is dropped once it is copied into the next basis.  The two
+compressions do independent arithmetic, so the order changes no factor.
+
 The per-cycle iteration budget divides the column budget by the width of the
 current residual factor, so the basis depth adapts automatically as the
 residual rank evolves.  The attainable accuracy degrades by at most
@@ -295,6 +303,11 @@ def _factor_pair(Y, rule):
     return U[:, :keep] * root, Vt[:keep].T * root
 
 
+def _in_basis(basis, W):
+    """``basis @ W``, Fortran-ordered so that compression orthonormalizes it in place."""
+    return np.matmul(basis, W, out=np.empty((basis.shape[0], W.shape[1]), order="F"))
+
+
 def _residual_factor(dec, W, boundary_first):
     """``[U_{m+1} H_{m+1,m}, V_m W]`` (or its two blocks swapped) in the Arnoldi basis.
 
@@ -356,6 +369,7 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         _open_cycle(report, sk, mk)
         dec_a = arnoldi_init(A, Ck, cnt_a, max_steps=mk, r0=R0k)
         dec_b = arnoldi_init(Bt, Dk, cnt_b, max_steps=mk, r0=R0k)
+        Ck = Dk = None  # copied into the bases
         rhs_core = dec_a.r0 @ dec_b.r0.T
         flagconv = False
         Y = None
@@ -380,12 +394,22 @@ def restarted_sylv(A, B, C, D, config, verify=False):
             if dec_a.breakdown and dec_b.breakdown:
                 break
         _close_cycle(report)
+        if not flagconv:
+            Ck, sig_res, Dk = compress(
+                (_residual_factor(dec_a, Y[:, -sk:], boundary_first=True),
+                 _residual_factor(dec_b, Y[-sk:, :].T, boundary_first=False)),
+                rule_res,
+            )
         YL, YR = _factor_pair(Y, rule_sol)
-        QL, sig, QR = compress(
-            (BasisFactor(QL, dec_a.basis @ YL, np.diag(np.r_[sig, np.ones(YL.shape[1])])),
-             BasisFactor(QR, dec_b.basis @ YR, np.eye(sig.size + YR.shape[1]))),
-            rule_sol,
-        )
+        # release each basis once its new solution columns are formed: the
+        # solution update does not read them
+        left = BasisFactor(QL, _in_basis(dec_a.basis, YL),
+                           np.diag(np.r_[sig, np.ones(YL.shape[1])]))
+        dec_a = None
+        right = BasisFactor(QR, _in_basis(dec_b.basis, YR), np.eye(sig.size + YR.shape[1]))
+        dec_b = None
+        QL, sig, QR = compress((left, right), rule_sol)
+        left = right = None  # the previous factors and the new columns go with them
         report.solution_ranks.append(sig.size)
         if verify:
             report.cycle_explicit_residuals.append(
@@ -394,14 +418,8 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         if flagconv:
             converged = True
             break
-        Ck, sig_res, Dk = compress(
-            (_residual_factor(dec_a, Y[:, -sk:], boundary_first=True),
-             _residual_factor(dec_b, Y[-sk:, :].T, boundary_first=False)),
-            rule_res,
-        )
         R0k = np.diag(np.sqrt(sig_res))
         report.residual_ranks.append(Ck.shape[1])
-        dec_a = dec_b = None  # release both bases before the next cycle allocates
 
     sol = _balanced(QL, sig, QR)  # in place: no second copy of the factors
     _close_run(report, peak)
@@ -438,19 +456,20 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
 
     XL = np.zeros((n, 0))
     SX = np.zeros((0, 0))
-    Ck = C
-    Dmid = np.eye(s)
+    res = SymLowRankFactor(C, np.eye(s))  # the residual C S C* that the next cycle starts from
     R0k = None  # restart blocks come back orthonormal: R = I
     converged = False
     peak = 0
 
     for _ in range(config.k_max + 1):
-        sk = Ck.shape[1]
+        sk = res.rank
         if sk == 0:  # residual compressed away: nothing left to restart with
             break
         mk = config.memmax // sk - 1
         _open_cycle(report, sk, mk)
-        dec = arnoldi_init(A, Ck, cnt_a, max_steps=mk, r0=R0k)
+        dec = arnoldi_init(A, res.C, cnt_a, max_steps=mk, r0=R0k)
+        Dmid = res.S
+        res = None  # its factor is copied into the basis
         flagconv = False
         Y = None
         for _ in range(mk):
@@ -475,11 +494,18 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
             if dec.breakdown:
                 break
         _close_cycle(report)
+        if not flagconv:
+            swap = np.zeros((2 * sk, 2 * sk))
+            swap[:sk, sk:] = np.eye(sk)
+            swap[sk:, :sk] = np.eye(sk)
+            res = compress_sym(
+                (_residual_factor(dec, Y[:, -sk:], boundary_first=True), swap), rule_res
+            )
         WY, lam = _eig_by_magnitude(Y, rule_sol)
-        Snew = np.diag(np.r_[np.diagonal(SX), lam])
-        sol = compress_sym(
-            (BasisFactor(XL, dec.basis @ WY, np.eye(Snew.shape[0])), Snew), rule_sol
-        )
+        update = BasisFactor(XL, _in_basis(dec.basis, WY), np.eye(XL.shape[1] + lam.size))
+        dec = None  # release the basis: the solution update does not read it
+        sol = compress_sym((update, np.diag(np.r_[np.diagonal(SX), lam])), rule_sol)
+        update = None  # the previous factor and the new columns go with it
         XL, SX = sol.C, sol.S
         report.solution_ranks.append(XL.shape[1])
         report.min_eigenvalues.append(
@@ -492,14 +518,8 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         if flagconv:
             converged = True
             break
-        swap = np.zeros((2 * sk, 2 * sk))
-        swap[:sk, sk:] = np.eye(sk)
-        swap[sk:, :sk] = np.eye(sk)
-        res = compress_sym((_residual_factor(dec, Y[:, -sk:], boundary_first=True), swap),
-                           rule_res)
-        Ck, Dmid, R0k = res.C, res.S, np.eye(res.rank)
-        report.residual_ranks.append(Ck.shape[1])
-        dec = None  # release the basis before the next cycle allocates
+        R0k = np.eye(res.rank)
+        report.residual_ranks.append(res.rank)
 
     final = SymLowRankFactor(XL, SX)
     if project_spsd:

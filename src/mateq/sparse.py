@@ -152,6 +152,13 @@ class SparseOperator:
             raise DimensionMismatchError(f"operator is {self.n}x{self.n}, block has {V.shape[0]} rows")
         return self._csr @ V
 
+    def apply_rows(self, V, rows):
+        """Uncounted product ``A[rows] @ V`` for a slice of rows (row-blocked diagnostics)."""
+        V = np.asarray(V, dtype=np.float64)
+        if V.shape[0] != self.n:
+            raise DimensionMismatchError(f"operator is {self.n}x{self.n}, block has {V.shape[0]} rows")
+        return self._csr[rows] @ V
+
     def to_dense(self):
         return self._csr.toarray()
 

@@ -220,6 +220,19 @@ def test_compress_sym_in_basis_matches_generic(where, norm):
     assert _norm(exact - out.to_dense(), norm) <= rule.tolerance
 
 
+def test_compress_leaves_callers_factors_intact():
+    # compression may overwrite a BasisFactor's Fortran-ordered Z in place;
+    # the factors of a LowRankFactorPair or SymLowRankFactor are the caller's
+    rng = rng_for(45)
+    C = np.asfortranarray(rng.standard_normal((30, 4)))
+    D = np.asfortranarray(rng.standard_normal((30, 4)))
+    C0, D0 = C.copy(), D.copy()
+    rule = TruncationRule(1e-8)
+    compress(LowRankFactorPair(C, D), rule)
+    compress_sym(SymLowRankFactor(C, np.eye(4)), rule)
+    assert np.array_equal(C, C0) and np.array_equal(D, D0)
+
+
 def _record_breakdowns(monkeypatch):
     """Breakdown flag of every decomposition whose residual factor is compressed."""
     seen = []

@@ -122,12 +122,14 @@ def test_eig_sym_rejects_asymmetric():
         eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-60, 1e60])
+@pytest.mark.parametrize("scale", [1.0, 1e-60, 1e60, 1e-200, 1e200])
 def test_check_symmetric_threshold_is_relative(scale):
-    M = scale * np.array([[2.0, 1.0], [1.0, 3.0]])
-    nrm = np.linalg.norm(M)
+    base = np.array([[2.0, 1.0], [1.0, 3.0]])
+    M = scale * base
+    nrm = scale * np.linalg.norm(base)  # ||M||_F, which np.linalg.norm(M) over/underflows
     check_symmetric(M)
     check_symmetric(np.zeros((0, 0)))
+    check_symmetric(np.zeros((2, 2)))
     near = M.copy()
     near[0, 1] += 0.5e-12 * nrm  # ||M - M.T|| = sqrt(2) * 0.5e-12 ||M||
     check_symmetric(near)

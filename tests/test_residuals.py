@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from mateq import (
     OpCounter,
+    SparseOperator,
     arnoldi_extend,
     arnoldi_init,
     explicit_residual_lyap,
@@ -137,3 +139,65 @@ def test_residual_factorization_identity_lyapunov():
     swap[s:, :s] = np.eye(s)
     R_explicit = Ad @ X + X @ Ad.T + C @ C.T
     assert np.linalg.norm(C1 @ swap @ C1.T - R_explicit) <= 1e-10 * np.linalg.norm(R_explicit)
+
+
+def _one_shot_r(*blocks):
+    return np.linalg.qr(np.hstack(blocks), mode="r")
+
+
+def _norm_of(M, norm):
+    return np.linalg.norm(M, 2 if norm == "spectral" else "fro")
+
+
+def _record_row_slices(monkeypatch):
+    """Row slices at which the true-residual helpers apply an operator."""
+    seen = []
+    apply_rows = SparseOperator.apply_rows
+
+    def spy(self, V, rows):
+        seen.append(rows)
+        return apply_rows(self, V, rows)
+
+    monkeypatch.setattr(SparseOperator, "apply_rows", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "n, r, s, slices",
+    [
+        (40, 0, 3, "one"),  # XL without columns: a slice is taller than n
+        (7, 5, 2, "one"),  # n below the stacked factor's width
+        (300, 9, 3, "ragged"),  # n is not a multiple of the slice height
+    ],
+)
+def test_row_blocked_true_residual_matches_references(monkeypatch, n, r, s, slices):
+    seen = _record_row_slices(monkeypatch)
+    rng = rng_for(6)
+    Ad, Bd = stable_dense(rng, n), stable_dense(rng, n)
+    A, B = as_op(Ad), as_op(Bd)
+    C, D = rng.standard_normal((n, s)), rng.standard_normal((n, s))
+    XL, XR = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+    S = rng.standard_normal((r, r))
+    S = S + S.T
+    K = np.zeros((2 * r + s, 2 * r + s))
+    K[:r, r : 2 * r] = S
+    K[r : 2 * r, :r] = S
+    K[2 * r :, 2 * r :] = np.eye(s)
+    RL = _one_shot_r(Ad @ XL, XL, C)
+    RR = _one_shot_r(XR, Bd.T @ XR, D)
+    for norm in ("frobenius", "spectral"):
+        seen.clear()
+        got = true_residual_lyap(A, C, XL, S, norm)
+        bounds = [(sl.start, min(sl.stop, n)) for sl in seen]
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert (len(bounds) == 1) == (slices == "one")
+        if slices == "ragged":
+            assert bounds[-1][1] - bounds[-1][0] < bounds[0][1] - bounds[0][0]
+        for ref in (_norm_of(RL @ K @ RL.T, norm),
+                    explicit_residual_lyap(A, C, XL @ S @ XL.T, norm)):
+            assert abs(got - ref) <= 1e-12 * ref
+        got = true_residual_sylv(A, B, C, D, XL, XR, norm)
+        for ref in (_norm_of(RL @ RR.T, norm),
+                    explicit_residual_sylv(A, B, C, D, XL @ XR.T, norm)):
+            assert abs(got - ref) <= 1e-12 * ref
