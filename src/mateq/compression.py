@@ -12,13 +12,14 @@ Both entry points accept a tall factor written in coefficient space, as a
 :class:`BasisFactor` ``[Q, Z] @ K``: ``Q`` is a basis already known to be
 orthonormal, ``Z`` holds extra columns and ``K`` is a small coefficient
 matrix.  Only ``Z`` is orthogonalized, by the package's one block
-Gram-Schmidt step :func:`linalg.orthonormalize_block`, whose tall QR is no
-wider than ``Z``.  The SVD or eigendecomposition then runs on a core as wide
-as the factor, and the output ``[Q, Q2] @ (small)`` is formed by matrix
-products; it is as orthonormal as ``Q`` is.  A plain array factor is the
-special case with an empty ``Q``.  The restarted drivers use this for their
-residual factors, which lie in the Arnoldi basis (no tall QR at all), and
-for their solution updates, whose previous factors are orthonormal.
+Gram-Schmidt step :func:`linalg.orthonormalize_block`, whose Cholesky-QR
+passes factor only ``Z``'s columns.  The SVD or eigendecomposition then runs
+on a core as wide as the factor, and the output ``[Q, Q2] @ (small)`` is
+formed by matrix products; it is as orthonormal as ``Q`` is.  A plain array
+factor is the special case with an empty ``Q``.  The restarted drivers use
+this for their residual factors, which lie in the Arnoldi basis (no tall QR
+at all), and for their solution updates, whose previous factors are
+orthonormal.
 
 Truncation rules: under the ``spectral`` rule every discarded singular value
 (eigenvalue magnitude) is below the tolerance; under the ``frobenius`` rule

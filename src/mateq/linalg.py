@@ -6,8 +6,14 @@ nonzero component of each singular/eigen vector nonnegative) so that repeated
 runs produce bitwise identical factors.  The heavy lifting is delegated to
 LAPACK through numpy/scipy; these wrappers only add the contracts.
 
-The hot path, :func:`orthonormalize_block` included, stays on numpy's BLAS:
-mixing in scipy's makes two OpenBLAS thread pools contend for the cores.
+:func:`orthonormalize_block`, the one block Gram-Schmidt step of every Krylov
+basis, factors its block by Cholesky QR: a Gram matrix, its Cholesky factor
+and one product with the factor's inverse, a fraction of a Householder QR's
+cost on blocks a few dozen columns wide.  A Householder QR stands in only
+where the Cholesky factorization fails.  The hot path stays on numpy's BLAS,
+which is why the inverse is formed with ``np.linalg.inv`` and applied by
+``np.matmul`` rather than by scipy's triangular solve: mixing in scipy's BLAS
+makes two OpenBLAS thread pools contend for the cores.
 """
 
 import numpy as np
@@ -97,28 +103,58 @@ def qr_economy(M):
     return _qr_reduced_signed(M)
 
 
+def _cholesky_qr(W, out, shift=False):
+    """One Cholesky-QR pass: ``out`` becomes ``W @ inv(R)``; returns R.
+
+    R is the transposed Cholesky factor of ``W.T @ W``.  With ``shift`` the
+    Gram matrix's diagonal is raised by ``11 (n s + s (s + 1)) u tr(W.T W)``,
+    u the unit roundoff (Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa,
+    SISC 2020), so the factorization exists for condition numbers up to about
+    ``1 / u``.  Where Cholesky still fails, a Householder QR of ``W`` takes
+    its place.
+    """
+    n, s = W.shape
+    A = W.T @ W
+    if shift:
+        u = np.finfo(float).eps / 2
+        A.flat[:: s + 1] += 11 * (n * s + s * (s + 1)) * u * np.trace(A)
+    try:
+        R = np.linalg.cholesky(A).T
+    except np.linalg.LinAlgError:
+        Q, R = _qr_reduced_signed(W)
+        out[...] = Q
+        return R
+    np.matmul(W, np.linalg.inv(R), out=out)
+    return R
+
+
 def orthonormalize_block(U, W):
     """Orthonormalize the column block ``W`` against the orthonormal ``U``, in place.
 
     Returns ``(P, R)``: ``W`` then holds ``Q`` with ``[U, Q]`` orthonormal,
-    ``W_in = U @ P + Q @ R`` and R upper triangular, diagonal >= 0.  The QR
-    factor of the projected ``W`` leans on ``U`` by ``G = U.T @ Q``, far above
-    roundoff when ``W`` nearly lies in ``span(U)``; one more projection leaves
-    ``||G||**2``, and only a lean above ``1e-7`` is factored again
-    (Carson, Lund, Rozloznik & Thomas, LAA 2022).  ``U @ P`` goes into one
-    scratch block, not a fresh temporary.
+    ``W_in = U @ P + Q @ R`` and R upper triangular, diagonal >= 0.  Block
+    CGS2 with Cholesky QR (Carson, Lund, Rozloznik & Thomas, LAA 2022):
+    project ``W`` against ``U``, factor it by a shifted then a plain
+    Cholesky-QR pass, project once more to remove the lean ``G = U.T @ Q``
+    that the first projection's roundoff leaves when ``W`` nearly lies in
+    ``span(U)``, and end with one more plain pass.  R is the product of the
+    passes' triangular factors.  A Householder QR stands in for a pass whose
+    Cholesky factorization fails, which happens only beyond condition numbers
+    of about ``1 / u``, near a happy breakdown, or on a rank-deficient block.
+    Besides ``P`` and s x s matrices, the step allocates one scratch block
+    like ``W``; products and passes alternate between the two.  An empty
+    ``W`` (s = 0) gives a k x 0 ``P`` and a 0 x 0 ``R``.
     """
     buf = np.empty_like(W)
     P = U.T @ W
     W -= np.matmul(U, P, out=buf)
-    Q, R = _qr_reduced_signed(W)
-    G = U.T @ Q
-    Q -= np.matmul(U, G, out=buf)
+    R = _cholesky_qr(W, buf, shift=True)
+    R = _cholesky_qr(buf, W) @ R
+    G = U.T @ W
+    W -= np.matmul(U, G, out=buf)
     P += G @ R  # W_in = U P + Q R still holds
-    if np.linalg.norm(G) > 1e-7:
-        Q, Rg = _qr_reduced_signed(Q)
-        R = Rg @ R
-    W[...] = Q
+    R = _cholesky_qr(W, buf) @ R
+    W[...] = buf
     return P, R
 
 

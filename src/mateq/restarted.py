@@ -421,6 +421,7 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         R0k = np.diag(np.sqrt(sig_res))
         report.residual_ranks.append(Ck.shape[1])
 
+    Bt = None  # the final residual applies B.T by itself
     sol = _balanced(QL, sig, QR)  # in place: no second copy of the factors
     _close_run(report, peak)
     report.finish(converged, sol.rank,

@@ -187,12 +187,14 @@ def estimate_norm2(A, iters=20, seed=42):
     Runs ``iters`` power steps on ``A.T @ A`` from a seeded random start and
     returns the Rayleigh-quotient value ``||A v||``, which is a lower estimate
     of the true ``||A||_2``.  Deterministic given the seed; applications are
-    not charged to any counter.
+    not charged to any counter.  ``A.T`` is applied through the CSC view of
+    the CSR arrays, which sums each entry of ``A.T @ w`` in the same order as
+    a transposed CSR copy would, without building one.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    At = A.transpose()
+    At = A._csr.T
     v = rng.standard_normal(A.n)
     nv = np.linalg.norm(v)
     if nv == 0:  # pragma: no cover - standard_normal never returns all zeros
@@ -204,7 +206,7 @@ def estimate_norm2(A, iters=20, seed=42):
         est = np.linalg.norm(w)
         if est == 0.0:
             return 0.0
-        u = At.apply(w)
+        u = At @ w
         nu = np.linalg.norm(u)
         if nu == 0.0:
             break

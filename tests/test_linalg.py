@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mateq import eig_sym, qr_economy, real_schur, svd
+from mateq import eig_sym, linalg, qr_economy, real_schur, svd
 from mateq.linalg import _fix_vector_signs, check_symmetric, orthonormalize_block
 from mateq.errors import DimensionMismatchError
 
@@ -214,10 +214,18 @@ def test_fix_vector_signs_matches_loop():
         assert _fix_vector_signs(np.zeros(shape)).shape == shape
 
 
+def _assert_orthonormalized(U, W0, W, P, R):
+    """``[U, W]`` orthonormal, ``W0 = U P + W R`` and R upper triangular, diagonal >= 0."""
+    E = np.hstack([U, W])
+    assert np.linalg.norm(E.T @ E - np.eye(E.shape[1])) <= 1e-13
+    assert np.linalg.norm(U @ P + W @ R - W0) <= 1e-14 * np.linalg.norm(W0)
+    assert np.array_equal(R, np.triu(R)) and np.all(np.diagonal(R) >= 0)
+
+
 @pytest.mark.parametrize("delta", [1.0, 1e-9, 1e-12])
 def test_orthonormalize_block_against_basis(delta):
-    # W = U M + delta N: a small delta leaves the remainder ill-conditioned
-    # (1e-9 takes the lean projection only, 1e-12 also the second QR)
+    # W = U M + delta N: a small delta leaves the projected block leaning on
+    # U far above roundoff, and only the second projection removes the lean
     rng = rng_for(12)
     n, k, s = 300, 40, 5
     U, _ = np.linalg.qr(rng.standard_normal((n, k)))
@@ -225,7 +233,58 @@ def test_orthonormalize_block_against_basis(delta):
     W0 = U @ rng.standard_normal((k, s)) + delta * rng.standard_normal((n, s))
     W = np.array(W0, order="F")
     P, R = orthonormalize_block(U, W)
-    E = np.hstack([U, W])
-    assert np.linalg.norm(E.T @ E - np.eye(k + s)) <= 1e-13
-    assert np.linalg.norm(U @ P + W @ R - W0) <= 1e-14 * np.linalg.norm(W0)
-    assert np.array_equal(R, np.triu(R)) and np.all(np.diagonal(R) >= 0)
+    _assert_orthonormalized(U, W0, W, P, R)
+
+
+@pytest.mark.parametrize("s", [1, 3, 18])
+@pytest.mark.parametrize("kappa", [1.0, 1e7, 1e12, np.inf])
+def test_orthonormalize_block_condition_sweep(monkeypatch, kappa, s):
+    # W = U M + N, where N lies outside span(U) with singular values spread
+    # geometrically down to 1 / kappa (for s = 1 its one value is 1 / kappa);
+    # kappa = inf zeroes W's last column, an exactly rank-deficient block
+    rng = rng_for(40)
+    n, k = 300, 40
+    U, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    U = np.asfortranarray(U)
+    X, _ = np.linalg.qr(rng.standard_normal((n, s)))
+    Y, _ = np.linalg.qr(rng.standard_normal((s, s)))
+    N = ((X - U @ (U.T @ X)) * np.geomspace(1.0, 1.0 / min(kappa, 1e12), s + 1)[1:]) @ Y.T
+    W0 = U @ rng.standard_normal((k, s)) + N
+    if kappa == np.inf:
+        W0[:, -1] = 0.0
+
+    cholesky, householder = np.linalg.cholesky, linalg._qr_reduced_signed
+    counts = {"cholesky_failed": 0, "householder": 0}
+
+    def counted_cholesky(A):
+        try:
+            return cholesky(A)
+        except np.linalg.LinAlgError:
+            counts["cholesky_failed"] += 1
+            raise
+
+    def counted_householder(M):
+        counts["householder"] += 1
+        return householder(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(linalg, "_qr_reduced_signed", counted_householder)
+    W = np.array(W0, order="F")
+    P, R = orthonormalize_block(U, W)
+    _assert_orthonormalized(U, W0, W, P, R)
+    assert counts["householder"] == counts["cholesky_failed"]
+    # the shift keeps Cholesky alive on these full-rank blocks; the zero
+    # column leaves one pass a singular Gram matrix
+    assert counts["householder"] == (1 if kappa == np.inf else 0)
+
+
+@pytest.mark.parametrize("n, k, s", [(50, 7, 0), (50, 0, 4), (50, 0, 0)])
+def test_orthonormalize_block_empty(n, k, s):
+    rng = rng_for(41)
+    U, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    W0 = rng.standard_normal((n, s))
+    W = np.array(W0, order="F")
+    P, R = orthonormalize_block(np.asfortranarray(U), W)
+    assert P.shape == (k, s) and R.shape == (s, s)
+    if s:
+        _assert_orthonormalized(U, W0, W, P, R)

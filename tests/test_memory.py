@@ -7,14 +7,20 @@ README ("Memory") states the bound
 for the ``tracemalloc`` peak of one solve: operator bytes are the CSR arrays
 of the coefficients, solution columns the widest solution factors (both
 factors for Sylvester), and ``s_max`` the widest right-hand side or restart
-residual.  The measured ``c`` is about 3 to 5; the check allows 8.
+residual.  The measured ``c`` is about 3 to 5; the check allows 8.  The
+block Gram-Schmidt step that every Krylov basis grows by is held to one
+scratch block of its own size.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mateq import SolverConfig, problems, restarted_lyap, restarted_sylv
+from mateq.linalg import orthonormalize_block
+
+from conftest import rng_for
 
 C_PER_RESIDUAL_COLUMN = 8
 
@@ -64,3 +70,17 @@ def test_peak_memory_within_stated_budget(problem):
     assert peak <= budget, (
         f"peak {peak / (8 * report.n):.1f} n-columns > budget {budget / (8 * report.n):.1f}"
     )
+
+
+@pytest.mark.parametrize("delta", [1.0, 1e-9])
+def test_orthonormalize_block_holds_one_scratch_block(delta):
+    # beyond W, one block step may hold one n x s scratch block, its k x s
+    # projection coefficients (P and the second sweep's G) and small s x s
+    # matrices; a Householder QR of W would hold a second n x s block
+    rng = rng_for(7)
+    n, k, s = 2000, 40, 18
+    U, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    U = np.asfortranarray(U)
+    W = np.asfortranarray(U @ rng.standard_normal((k, s)) + delta * rng.standard_normal((n, s)))
+    _, peak = _traced_peak(lambda: orthonormalize_block(U, W))
+    assert peak <= 8 * (n * s + 2 * k * s + 10 * s * s), f"{peak / (8 * n * s):.2f} n x s blocks"

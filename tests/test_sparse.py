@@ -7,6 +7,7 @@ from mateq import (
     OpCounter,
     SparseOperator,
     estimate_norm2,
+    problems,
     read_dense_matrix_market,
     read_matrix_market,
     spmm,
@@ -257,3 +258,26 @@ def test_dense_mm_empty_block_roundtrip(tmp_path, shape):
     path = os.path.join(tmp_path, "e.mtx")
     write_dense_matrix_market(np.zeros(shape), path)
     assert read_dense_matrix_market(path).shape == shape
+
+
+@pytest.mark.parametrize("build", [lambda: problems.convdiff_3d(10, 0.01, "wA"),
+                                   lambda: problems.laplacian_2d(30)],
+                         ids=["convdiff3d", "laplacian2d"])
+def test_estimate_norm2_applies_transpose_without_a_copy(monkeypatch, build):
+    # the reference power iteration applies a transposed CSR copy of A
+    A = build()
+    rng = np.random.Generator(np.random.PCG64(42))
+    At = A.transpose()
+    v = rng.standard_normal(A.n)
+    v /= np.linalg.norm(v)
+    for _ in range(20):
+        w = A.apply(v)
+        ref = np.linalg.norm(w)
+        u = At.apply(w)
+        v = u / np.linalg.norm(u)
+
+    def no_copy(self):
+        raise AssertionError("estimate_norm2 built a transposed copy")
+
+    monkeypatch.setattr(SparseOperator, "transpose", no_copy)
+    assert estimate_norm2(A, iters=20, seed=42) == ref
