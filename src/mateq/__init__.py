@@ -25,7 +25,7 @@ from .compression import (
     psd_project,
 )
 from .dense_eq import kron_oracle, solve_lyapunov_ldlt, solve_sylvester_dense
-from .linalg import eig_sym, qr_economy, real_schur, svd
+from .linalg import eig_sym, qr_economy, svd
 from .mmio import (
     read_dense_matrix_market,
     read_matrix_market,

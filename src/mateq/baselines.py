@@ -3,9 +3,13 @@
 The extended Krylov solvers (:func:`eksm_lyap`, :func:`eksm_sylv`) interleave
 images under the operator and under its inverse, with the inverse applied
 inexactly by a block iterative solver (:func:`block_cg` for SPD operators,
-:func:`block_gmres` otherwise).  The projected matrix is assembled by
-explicit projection of cached operator images, so every operator application
-is counted.
+:func:`block_gmres` otherwise).  Each pair of new blocks, the first
+included, is orthonormalized in place by the package's one block
+Gram-Schmidt step, :func:`linalg.orthonormalize_block`, and the projected
+matrix is assembled from cached operator images, so every operator
+application is counted.  For an operator flagged symmetric the projected
+Lyapunov equation is solved with the exactly symmetric ``0.5 (T + T*)``,
+which takes the eigh route, as in ``restarted_lyap``.
 
 :func:`sksm_two_pass` is the short-recurrence polynomial method for symmetric
 coefficients: pass one runs a block Lanczos three-term recurrence keeping
@@ -74,7 +78,7 @@ def block_cg(A, RHS, cfg, counter):
         return np.zeros_like(RHS)
     X = np.zeros(RHS.shape)  # C order: a mixed-layout X += P @ alpha is slow
     R = RHS.copy()
-    P, _ = qr_economy(R)
+    P, _ = qr_economy(R)  # also rejects a non-finite right-hand side
     for _ in range(cfg.max_iter):
         W = spmm(A, P, counter)
         M = P.T @ W
@@ -91,7 +95,8 @@ def block_cg(A, RHS, cfg, counter):
         if np.linalg.norm(R) <= cfg.tol * rhs_norm:
             return X
         beta = -np.linalg.solve(lo.T, np.linalg.solve(lo, W.T @ R))
-        P, _ = qr_economy(R + P @ beta)
+        # column signs cancel in P @ alpha and P @ beta, so a plain QR will do
+        P = np.linalg.qr(R + P @ beta)[0]
     raise NonConvergenceError(f"block CG did not reach {cfg.tol:g} in {cfg.max_iter} iterations")
 
 
@@ -149,9 +154,15 @@ class _ExtendedBasis:
 
     Blocks come in pairs: the image part (from applying the operator) and the
     inverse part (from the inner solve), in preallocated Fortran-ordered
-    ``U`` and ``AU`` of ``max_dim`` columns.  The projection ``T = U* (A U)``
-    is filled incrementally from the cached images, so its assembly costs no
-    extra operator applications beyond the one image per new block.
+    ``U`` and ``AU`` of ``max_dim`` columns.  Every pair, the first included,
+    goes through :meth:`_grow`: the pair is written into the next free slot,
+    orthonormalized there against the basis by
+    :func:`linalg.orthonormalize_block`, and its two images are taken.  The
+    projection ``T = U* (A U)`` gains the pair's rows and columns in a
+    preallocated ``max_dim x max_dim`` array, from the cached images, so its
+    assembly costs no operator applications beyond the one image per new
+    block.  ``rhs`` is ``U* C``, read off the first pair's R factor: nonzero
+    only in its leading 2s rows.
     """
 
     def __init__(self, A, C, inner, counter, max_dim):
@@ -161,31 +172,34 @@ class _ExtendedBasis:
         self.max_dim = max_dim
         n, s = C.shape
         self.s = s
-        if 2 * s > max_dim:
-            raise MemoryExhaustedError(
-                f"even the starting extended block needs {2 * s} columns > {max_dim}"
-            )
         self._U = np.empty((n, max_dim), order="F")
         self._AU = np.empty((n, max_dim), order="F")
-        inv = inner.solve(A, C, counter)
-        self._U[:, : 2 * s], R0 = qr_economy(np.hstack([C, inv]))
-        self.proj_rhs = R0[:, :s]  # U* C, nonzero only in the leading 2s rows
+        self._T = np.zeros((max_dim, max_dim))
+        self._rhs = np.zeros((max_dim, s))
         self.dim = 0
-        self._take_block()
-        self.T = self.U.T @ self.AU
+        R = self._grow(C, C)
+        self._rhs[: 2 * s] = R[:, :s]
 
-    def _take_block(self):
-        """Append the orthonormal block written just past the basis, with its images."""
+    def _grow(self, image, source):
+        """Append the pair ``[image, inner solve of source]``; returns its R factor."""
         d, s = self.dim, self.s
+        if d + 2 * s > self.max_dim:
+            raise MemoryExhaustedError(
+                f"extended basis needs {d + 2 * s} columns > max_dim = {self.max_dim}; "
+                "cannot reach the tolerance"
+            )
+        W = self._U[:, d : d + 2 * s]
+        W[:, :s] = image
+        W[:, s:] = self.inner.solve(self.A, source, self.counter)
+        _, R = orthonormalize_block(self._U[:, :d], W)
         for k in (d, d + s):
             self._AU[:, k : k + s] = spmm(self.A, self._U[:, k : k + s], self.counter)
-        self.dim = d + 2 * s
-        self.U, self.AU = self._U[:, : self.dim], self._AU[:, : self.dim]
-
-    def rhs_block(self):
-        out = np.zeros((self.dim, self.s))
-        out[: 2 * self.s, :] = self.proj_rhs
-        return out
+        self.dim = e = d + 2 * s
+        self.U, self.AU = self._U[:, :e], self._AU[:, :e]
+        self._T[:e, d:e] = self.U.T @ self.AU[:, d:]
+        self._T[d:e, :d] = W.T @ self._AU[:, :d]
+        self.T, self.rhs = self._T[:e, :e], self._rhs[:e]
+        return R
 
     def residual_factor(self, Y):
         """F Y with F the out-of-space part of the cached images."""
@@ -193,21 +207,9 @@ class _ExtendedBasis:
         return np.subtract(self.AU, F, out=F) @ Y
 
     def extend(self):
-        s, d = self.s, self.dim
-        if d + 2 * s > self.max_dim:
-            raise MemoryExhaustedError(
-                f"extended basis would exceed {self.max_dim} columns; cannot reach the tolerance"
-            )
-        W = self._U[:, d : d + 2 * s]
-        W[:, :s] = self._AU[:, d - 2 * s : d - s]  # cached image of the previous direct block
-        W[:, s:] = self.inner.solve(self.A, self._U[:, d - s : d], self.counter)
-        orthonormalize_block(self.U, W)
-        self._take_block()
-        T = np.zeros((self.dim, self.dim))
-        T[:d, :d] = self.T
-        T[:, d:] = self.U.T @ self.AU[:, d:]
-        T[d:, :d] = W.T @ self._AU[:, :d]
-        self.T = T
+        """Append the newest direct block's cached image and the newest inverse block's inverse."""
+        d, s = self.dim, self.s
+        self._grow(self._AU[:, d - 2 * s : d - s], self._U[:, d - s : d])
 
 
 def _solution_cut(tol_res, *norms):
@@ -246,8 +248,9 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
     basis = _ExtendedBasis(A, C, inner, counter, max_dim)
     outer = 0
     while True:
-        Ctil = basis.rhs_block()
-        Y = solve_lyapunov_ldlt(basis.T, Ctil, np.eye(s))
+        # symmetric to roundoff for symmetric A; made exact, it takes the eigh route
+        T = 0.5 * (basis.T + basis.T.T) if A.symmetric else basis.T
+        Y = solve_lyapunov_ldlt(T, basis.rhs, np.eye(s))
         r = float(np.sqrt(2.0) * np.linalg.norm(basis.residual_factor(Y)))
         report.residual_history.append(r)
         if r <= tol_res:
@@ -265,27 +268,28 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
     return fac, report
 
 
-def eksm_sylv(A, B, C, D, inner_a, inner_b, tol_res, max_dim):
+def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
     """Two-sided extended Krylov solver for A X + X B + C D* = 0.
 
     Grows one extended basis for (A, C) and one for (B*, D) in lockstep, with
-    independent counters for the two operators.
+    independent counters for the two operators; ``inner`` serves the inner
+    solves of both.
     """
     C = _as_block(C)
     D = _as_block(D)
     t0 = time.perf_counter()
     cnt_a, cnt_b = OpCounter(), OpCounter()
     report = SolveReport(
-        solver=f"eksm-{inner_a.kind.split('-')[1]}", n=A.n, s=C.shape[1], norm="frobenius",
+        solver=f"eksm-{inner.kind.split('-')[1]}", n=A.n, s=C.shape[1], norm="frobenius",
         tol_res=tol_res, tol_comp=None, memmax=max_dim, k_max=None,
         rhs_norm=_product_norm(C, D, "frobenius"),
     )
     Bt = B.transpose()
-    ba = _ExtendedBasis(A, C, inner_a, cnt_a, max_dim)
-    bb = _ExtendedBasis(Bt, D, inner_b, cnt_b, max_dim)
+    ba = _ExtendedBasis(A, C, inner, cnt_a, max_dim)
+    bb = _ExtendedBasis(Bt, D, inner, cnt_b, max_dim)
     outer = 0
     while True:
-        F = ba.rhs_block() @ bb.rhs_block().T
+        F = ba.rhs @ bb.rhs.T
         Y = solve_sylvester_dense(ba.T, bb.T, F)
         r = float(np.hypot(
             np.linalg.norm(ba.residual_factor(Y)),

@@ -21,8 +21,6 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from .baselines import InnerSolverConfig, eksm_lyap, eksm_sylv, sksm_two_pass
 from .mmio import (
     read_dense_matrix_market,
@@ -160,8 +158,7 @@ def _run_solver(name, args, prob):
                 raise ValueError("eksm-bcg needs a symmetric (positive definite) operator")
             _, rep = eksm_lyap(A, C, inner, args.tol_res, max_dim=args.memmax)
         else:
-            _, rep = eksm_sylv(A, B, C, D, inner, inner, args.tol_res,
-                               max_dim=args.memmax // 2)
+            _, rep = eksm_sylv(A, B, C, D, inner, args.tol_res, max_dim=args.memmax // 2)
         return rep
     if name == "sksm-two-pass":
         if not lyap_form or not A.symmetric:
@@ -173,15 +170,7 @@ def _run_solver(name, args, prob):
 
 
 def _report_json(rep):
-    d = rep.to_dict()
-    clean = {}
-    for k, v in d.items():
-        if isinstance(v, np.floating):
-            v = float(v)
-        if isinstance(v, list):
-            v = [float(x) if isinstance(x, (np.floating, float)) else int(x) for x in v]
-        clean[k] = v
-    return json.dumps(clean, indent=2, sort_keys=True, allow_nan=True)
+    return json.dumps(rep.to_dict(), indent=2, sort_keys=True)
 
 
 def _write_history(rep, prefix):

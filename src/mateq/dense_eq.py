@@ -4,8 +4,8 @@
 plus back substitution, via LAPACK's ``trsyl``).  ``solve_lyapunov_ldlt``
 takes one of two routes, chosen by its coefficient: an exactly symmetric H
 (``H == H.T`` entry for entry: the block Lanczos matrix of ``sksm_two_pass``,
-and the ``0.5 (H + H.T)`` that ``restarted_lyap`` passes for an operator
-flagged symmetric) is solved in closed form from one symmetric
+and the ``0.5 (H + H.T)`` that ``restarted_lyap`` and ``eksm_lyap`` pass for
+an operator flagged symmetric) is solved in closed form from one symmetric
 eigendecomposition; any other H goes through Bartels-Stewart.  Both routes
 pass the same post-solve checks.  ``kron_oracle`` is the independent
 brute-force reference: it assembles the Kronecker-lifted linear system and

@@ -4,7 +4,7 @@ All kernels work on real ``float64`` matrices, reject non-finite input, and
 fix deterministic sign conventions (nonnegative R diagonal in QR, first
 nonzero component of each singular/eigen vector nonnegative) so that repeated
 runs produce bitwise identical factors.  The heavy lifting is delegated to
-LAPACK through numpy/scipy; these wrappers only add the contracts.
+LAPACK through numpy; these wrappers only add the contracts.
 
 :func:`orthonormalize_block`, the one block Gram-Schmidt step of every Krylov
 basis, factors its block by Cholesky QR: a Gram matrix, its Cholesky factor
@@ -17,12 +17,10 @@ makes two OpenBLAS thread pools contend for the cores.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, NonConvergenceError
 
-__all__ = ["qr_economy", "orthonormalize_block", "svd", "eig_sym", "real_schur",
-           "check_symmetric"]
+__all__ = ["qr_economy", "orthonormalize_block", "svd", "eig_sym", "check_symmetric"]
 
 
 def _as_matrix(M, name="matrix"):
@@ -193,14 +191,3 @@ def eig_sym(M):
     W = _fix_vector_signs(W[:, order])
     return W, lam
 
-
-def real_schur(M):
-    """Real Schur form M = Q @ T @ Q.T with quasi-triangular T."""
-    M = _as_matrix(M, "M")
-    if M.shape[0] != M.shape[1]:
-        raise DimensionMismatchError(f"real_schur needs a square matrix, got {M.shape}")
-    try:
-        T, Q = scipy.linalg.schur(M, output="real")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare QR-iteration failure
-        raise NonConvergenceError(f"Schur QR iteration did not converge: {exc}") from exc
-    return Q, T

@@ -50,7 +50,6 @@ from .compression import (
     _keep_count,
     compress,
     compress_sym,
-    psd_project,
 )
 from .dense_eq import solve_lyapunov_ldlt, solve_sylvester_dense
 from .errors import MemoryBudgetError
@@ -438,7 +437,8 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
     middle matrix (factored form C S C*) through compression and into the
     projected equations; the accumulated solution is kept in the same form
     with its running middle factor.  ``project_spsd=True`` discards the
-    negative eigenvalue part of the final solution.
+    negative eigenvalue part of the final solution; the factor's orthonormal
+    columns and diagonal middle make that a column selection.
     """
     C = _as_block(C)
     n, s = C.shape
@@ -522,10 +522,12 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         R0k = np.eye(res.rank)
         report.residual_ranks.append(res.rank)
 
-    final = SymLowRankFactor(XL, SX)
     if project_spsd:
-        final = psd_project(final)
-        XL, SX = final.C, final.S
+        # XL is orthonormal and SX diagonal: the nearest SPSD matrix keeps the
+        # columns with a positive diagonal entry (compression.psd_project)
+        keep = np.diagonal(SX) > 0
+        XL, SX = XL[:, keep], np.diag(np.diagonal(SX)[keep])
+    final = SymLowRankFactor(XL, SX)
     _close_run(report, peak)
     report.finish(converged, XL.shape[1], true_residual_lyap(A, C, XL, SX, config.norm),
                   {"A": cnt_a}, t0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mateq import OpCounter, SparseOperator, arnoldi_extend, arnoldi_init
-from mateq.errors import RankDeficientBlockError
+from mateq.errors import MemoryExhaustedError, RankDeficientBlockError
 
 from conftest import as_op, rng_for, spd_dense, stable_dense
 
@@ -69,6 +69,17 @@ def test_extend_after_breakdown_is_a_no_op():
     assert np.array_equal(dec.H, H)
     assert np.array_equal(dec.basis, basis)
     assert np.array_equal(dec._Q, Q)
+
+
+def test_extend_past_max_steps_raises():
+    cnt = OpCounter()
+    dec = arnoldi_init(as_op(spd_dense(rng_for(5), 12)), rng_for(6).standard_normal((12, 2)),
+                       cnt, max_steps=2)
+    arnoldi_extend(dec)
+    arnoldi_extend(dec)
+    with pytest.raises(MemoryExhaustedError, match="2 block steps"):
+        arnoldi_extend(dec)
+    assert dec.m == 2 and cnt.a_calls == 2
 
 
 def test_hbar_stacks_h_on_boundary():

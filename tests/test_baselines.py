@@ -13,7 +13,7 @@ from mateq import (
     laplacian_2d,
     sksm_two_pass,
 )
-from mateq import baselines
+from mateq import baselines, dense_eq
 from mateq.errors import IndefiniteOperatorError, LossOfOrthogonalityError, MemoryExhaustedError
 
 from conftest import as_op, rng_for, spd_dense, stable_dense
@@ -121,7 +121,7 @@ def test_eksm_sylv_immediate_and_oracle():
     C = np.zeros((n, 1))
     C[0] = 1.0
     inner = InnerSolverConfig(kind="block-gmres", tol=1e-10)
-    fac, rep = eksm_sylv(A, A, C, C, inner, inner, tol_res=1e-10, max_dim=8)
+    fac, rep = eksm_sylv(A, A, C, C, inner, tol_res=1e-10, max_dim=8)
     assert rep.iterations == 0
     ref = np.zeros((n, n))
     ref[0, 0] = 0.5
@@ -133,8 +133,7 @@ def test_eksm_sylv_immediate_and_oracle():
     C, D = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
     f = np.sqrt(np.trace((C.T @ C) @ (D.T @ D)))
     C, D = C / np.sqrt(f), D / np.sqrt(f)
-    fac, rep = eksm_sylv(as_op(Ad), as_op(Bd), C, D, inner, inner,
-                         tol_res=1e-8, max_dim=24)
+    fac, rep = eksm_sylv(as_op(Ad), as_op(Bd), C, D, inner, tol_res=1e-8, max_dim=24)
     Xo = kron_oracle(Ad, Bd, C @ D.T)
     assert np.linalg.norm(fac.to_dense() - Xo) <= 10 * 1e-8 * max(np.linalg.norm(Xo), 1)
     assert rep.counters["A"]["a_calls"] > 0 and rep.counters["B"]["a_calls"] > 0
@@ -200,6 +199,63 @@ def test_inner_config_rejects_nonpositive_restart(restart):
         InnerSolverConfig(kind="block-gmres", restart=restart)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"kind": "cg"}, "kind"),
+    ({"tol": 0.0}, "tolerance"),
+    ({"tol": 1.0}, "tolerance"),
+])
+def test_inner_config_rejects_bad_kind_or_tol(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        InnerSolverConfig(**kwargs)
+
+
+def test_extended_basis_checks_capacity_before_any_work():
+    A = laplacian_2d(4)
+    C = rng_for(13).standard_normal((A.n, 2))
+    cnt = OpCounter()
+    with pytest.raises(MemoryExhaustedError, match="needs 4 columns"):
+        baselines._ExtendedBasis(A, C, InnerSolverConfig(), cnt, max_dim=3)
+    assert cnt.a_calls == 0  # the first pair failed before its inner solve
+    basis = baselines._ExtendedBasis(A, C, InnerSolverConfig(), cnt, max_dim=4)
+    calls = cnt.a_calls
+    with pytest.raises(MemoryExhaustedError, match="needs 8 columns"):
+        basis.extend()
+    assert cnt.a_calls == calls and basis.dim == 4
+
+
+@pytest.mark.parametrize("kind", ["block-cg", "block-gmres"])
+def test_eksm_lyap_rejects_non_finite_rhs(kind):
+    A = laplacian_2d(4)
+    C = np.ones((A.n, 2))
+    C[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        eksm_lyap(A, C, InnerSolverConfig(kind=kind), tol_res=1e-8, max_dim=16)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_eksm_lyap_symmetric_operator_takes_the_eigh_route(monkeypatch, symmetric):
+    # Bartels-Stewart runs only through dense_eq.solve_sylvester_dense
+    calls = []
+    bartels_stewart = dense_eq.solve_sylvester_dense
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return bartels_stewart(*args)
+
+    monkeypatch.setattr(dense_eq, "solve_sylvester_dense", spy)
+    if symmetric:
+        A, inner = laplacian_2d(12), InnerSolverConfig(kind="block-cg", tol=1e-10)
+    else:
+        A = as_op(-stable_dense(rng_for(14), 60))
+        inner = InnerSolverConfig(kind="block-gmres", tol=1e-10)
+    C = rng_for(15).standard_normal((A.n, 2))
+    C /= np.linalg.norm(C.T @ C) ** 0.5
+    _, rep = eksm_lyap(A, C, inner, tol_res=1e-8, max_dim=60)
+    assert rep.iterations >= 2
+    assert len(calls) == (0 if symmetric else rep.iterations + 1)
+    assert rep.true_residual <= 10 * rep.tol_res
+
+
 def test_sksm_two_pass_matches_stored_basis_reference():
     # reference: same Lanczos recurrence but with the whole basis stored
     rng = rng_for(10)
@@ -251,7 +307,7 @@ def test_eksm_sylv_convdiff_benchmark_scale():
     B = convdiff_3d(25, 0.01, "wB")
     C, D = random_rhs(A.n, 3, seed=0, normalize=True, pair=True)
     inner = InnerSolverConfig(kind="block-gmres", tol=1e-8)
-    fac, rep = eksm_sylv(A, B, C, D, inner, inner, tol_res=1e-6, max_dim=132)
+    fac, rep = eksm_sylv(A, B, C, D, inner, tol_res=1e-6, max_dim=132)
     assert rep.iterations <= 21
     assert rep.basis_dim <= 132
     assert rep.true_relative_residual <= 2e-6

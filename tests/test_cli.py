@@ -199,3 +199,35 @@ def test_sylvester_solver_on_one_operator_uses_its_transpose(tmp_path):
     _, ref = restarted_sylv(A, A.transpose(), C, C, SolverConfig(memmax=160, tol_res=1e-6))
     assert rep["residual_history"] == ref.residual_history
     assert rep["true_residual"] == ref.true_residual
+
+
+def _report_json_converting_numpy_scalars(rep):
+    """The serializer as it was when it converted numpy scalars field by field."""
+    clean = {}
+    for k, v in rep.to_dict().items():
+        if isinstance(v, np.floating):
+            v = float(v)
+        if isinstance(v, list):
+            v = [float(x) if isinstance(x, (np.floating, float)) else int(x) for x in v]
+        clean[k] = v
+    return json.dumps(clean, indent=2, sort_keys=True, allow_nan=True)
+
+
+@pytest.mark.parametrize("solver, flags", [
+    ("restarted-lyap", ["--problem", "laplacian2d", "--verify", "--psd-project"]),
+    ("restarted-lyap", ["--problem", "laplacian2d", "--norm", "2"]),
+    ("restarted-sylv", ["--problem", "convdiff3d", "--verify", "--norm", "2", "--memmax", "160"]),
+    ("eksm-bcg", ["--problem", "laplacian2d"]),
+    ("eksm-bgmres", ["--problem", "convdiff3d", "--memmax", "160"]),
+    ("sksm-two-pass", ["--problem", "laplacian2d", "--verify"]),
+])
+def test_report_json_needs_no_numpy_conversion(solver, flags):
+    # every report field is already a Python number, bool, None, list or dict
+    from mateq import cli
+
+    args = cli._build_parser().parse_args(
+        ["solve", "--n", "6", "--s", "2", "--seed", "1", "--normalize", "--solver", solver,
+         "--memmax", "48", "--tol-res", "1e-6", *flags])
+    rep = cli._run_solver(solver, args, cli._build_problem(args))
+    assert rep.converged
+    assert cli._report_json(rep) == _report_json_converting_numpy_scalars(rep)

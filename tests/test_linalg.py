@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mateq import eig_sym, linalg, qr_economy, real_schur, svd
+from mateq import eig_sym, linalg, qr_economy, svd
 from mateq.linalg import _fix_vector_signs, check_symmetric, orthonormalize_block
 from mateq.errors import DimensionMismatchError
 
@@ -146,37 +146,6 @@ def test_eig_sym_spsd_floor():
         M = B @ B.T
         _, lam = eig_sym(M)
         assert lam.min() >= -1e-12 * np.linalg.norm(M, 2)
-
-
-def test_schur_upper_triangular_fixed_point():
-    M = np.triu(rng_for(8).standard_normal((5, 5)))
-    Q, T = real_schur(M)
-    assert np.linalg.norm(Q @ T @ Q.T - M) <= 1e-11 * np.linalg.norm(M)
-    assert np.allclose(T, np.triu(T), atol=1e-12)
-
-
-def test_schur_rotation_block():
-    Q, T = real_schur(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    ev = np.linalg.eigvals(T)
-    assert sorted(np.round(ev.imag, 10)) == [-1.0, 1.0]
-    assert np.allclose(ev.real, 0.0, atol=1e-12)
-
-
-def test_schur_eigenvalue_multiset():
-    rng = rng_for(9)
-    M = rng.standard_normal((12, 12))
-    Q, T = real_schur(M)
-    ours = np.sort_complex(np.linalg.eigvals(T))
-    ref = np.sort_complex(np.linalg.eigvals(M))  # independent (geev) route
-    assert np.allclose(ours, ref, atol=1e-9)
-
-
-def test_schur_norm_preservation():
-    rng = rng_for(10)
-    for _ in range(10):
-        M = rng.standard_normal((9, 9))
-        _, T = real_schur(M)
-        assert abs(np.linalg.norm(T) - np.linalg.norm(M)) <= 1e-11 * np.linalg.norm(M)
 
 
 def _fix_vector_signs_loop(U, *companions):

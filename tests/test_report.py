@@ -35,7 +35,7 @@ SOLVES = {
     "restarted-sylv": lambda: restarted_sylv(
         CD_A, CD_B, C_CD, D_CD, SolverConfig(memmax=48, tol_res=1e-8)),
     "eksm-lyap": lambda: eksm_lyap(LAP, C_LAP, CG, 1e-8, 60),
-    "eksm-sylv": lambda: eksm_sylv(CD_A, CD_B, C_CD, D_CD, GMRES, GMRES, 1e-8, 40),
+    "eksm-sylv": lambda: eksm_sylv(CD_A, CD_B, C_CD, D_CD, GMRES, 1e-8, 40),
     "sksm-two-pass": lambda: sksm_two_pass(LAP, C_LAP, 1e-8, 100),
 }
 

@@ -8,6 +8,10 @@ from mateq import (
     eval_error_bound_normal,
     eval_residual_bound,
     kron_oracle,
+    laplacian_2d,
+    psd_project,
+    random_rhs,
+    restarted,
     restarted_lyap,
     restarted_sylv,
 )
@@ -214,6 +218,27 @@ def test_psd_projection_option():
     assert np.all(np.diagonal(fac.S) > 0)
 
 
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_psd_projection_matches_psd_project(sign):
+    # -L is stable, so X is positive definite; L itself gives a negative
+    # definite X, whose projection is empty
+    L = laplacian_2d(25)
+    A = SparseOperator(L.n, L.indptr, L.indices, sign * L.data, symmetric=True)
+    C = random_rhs(A.n, 2, seed=3, normalize=True)
+    cfg = SolverConfig(memmax=40, tol_res=1e-8)
+    plain, _ = restarted_lyap(A, C, cfg)
+    fac, rep = restarted_lyap(A, C, cfg, project_spsd=True)
+    ref = psd_project(plain)
+    assert fac.rank == ref.rank == rep.solution_rank
+    if sign < 0:
+        X, Xref = fac.to_dense(), ref.to_dense()
+        assert fac.rank > 0
+        assert np.linalg.norm(X - Xref) <= 1e-13 * np.linalg.norm(Xref)
+    else:
+        assert plain.rank > 0
+        assert fac.rank == 0 and fac.C.shape == (A.n, 0)
+
+
 def test_eval_residual_bound_values():
     assert eval_residual_bound(1e-6, 5, 0.0, 3.0, 4.0) == 1e-6
     val = eval_residual_bound(1e-6, 20, 1e-12, 8.0, 8.0)
@@ -274,3 +299,55 @@ def test_negative_definite_coefficients_match_oracle():
     gap = np.linalg.eigvalsh(-Ad).min() + np.linalg.eigvalsh(-Bd).min()
     bound = eval_error_bound_normal(cfg.tol_res, rep.restarts, cfg.tol_comp, gap, 0.0)
     assert np.linalg.norm(pair.to_dense() - Xo) <= bound
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("k_max", -1, "k_max"),
+    ("tol_res", 0.0, "tol_res"),
+    ("tol_res", -1e-6, "tol_res"),
+    ("tol_comp", 0.0, "tol_comp"),
+    ("tol_comp_res", -1e-9, "tol_comp_res"),
+    ("norm", "nuclear", "norm"),
+])
+def test_config_validation_rejects_bad_settings(field, value, match):
+    cfg = SolverConfig(memmax=40, **{field: value})
+    with pytest.raises(ValueError, match=match):
+        cfg.validate(2)
+
+
+def test_right_hand_side_block_shapes():
+    v = np.arange(1.0, 5.0)
+    assert restarted._as_block(v).shape == (4, 1)
+    with pytest.raises(ValueError, match="n x s"):
+        restarted._as_block(np.ones((4, 2, 1)))
+    with pytest.raises(ValueError, match="n x s"):
+        restarted._as_block(np.ones((4, 0)))
+    # a vector right-hand side solves as a one-column block
+    A = SparseOperator.identity(6, -1.0)
+    e1 = np.zeros(6)
+    e1[0] = 1.0
+    fac, rep = restarted_lyap(A, e1, SolverConfig(memmax=12, tol_res=1e-12, tol_comp=1e-14))
+    assert rep.converged and rep.s == 1 and fac.rank == 1
+
+
+def test_drivers_reject_dimension_mismatch():
+    A, B = SparseOperator.identity(6), SparseOperator.identity(5)
+    C = np.ones((6, 1))
+    cfg = SolverConfig(memmax=12)
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        restarted_lyap(A, np.ones((5, 1)), cfg)
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        restarted_sylv(A, B, C, C, cfg)
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        restarted_sylv(A, A, C, np.ones((6, 2)), cfg)
+
+
+def test_verify_mode_is_limited_to_small_n():
+    n = restarted._VERIFY_MAX_N + 1
+    A = SparseOperator.identity(n, -1.0)
+    C = np.ones((n, 1))
+    cfg = SolverConfig(memmax=12)
+    with pytest.raises(ValueError, match="verify mode"):
+        restarted_lyap(A, C, cfg, verify=True)
+    with pytest.raises(ValueError, match="verify mode"):
+        restarted_sylv(A, A, C, C, cfg, verify=True)
