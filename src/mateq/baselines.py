@@ -7,15 +7,24 @@ inexactly by a block iterative solver (:func:`block_cg` for SPD operators,
 included, is orthonormalized in place by the package's one block
 Gram-Schmidt step, :func:`linalg.orthonormalize_block`, and the projected
 matrix is assembled from cached operator images, so every operator
-application is counted.  For an operator flagged symmetric the projected
-Lyapunov equation is solved with the exactly symmetric ``0.5 (T + T*)``,
-which takes the eigh route, as in ``restarted_lyap``.
+application is counted.  The outer residual norm is accumulated from the
+cached images over row slices, so their n x dim out-of-space part is never
+formed whole.  For an operator flagged symmetric the projected Lyapunov
+equation is solved with the exactly symmetric ``0.5 (T + T*)``, which takes
+the eigh route, as in ``restarted_lyap``.  The inner solves of block CG
+apply the inverse of their small Gram matrices by products and
+re-orthonormalize each direction block by one Cholesky-QR pass, so that
+LAPACK calls on width-s blocks do not outweigh the operator products.
 
 :func:`sksm_two_pass` is the short-recurrence polynomial method for symmetric
 coefficients: pass one runs a block Lanczos three-term recurrence keeping
 three live blocks and monitors the cheap residual; pass two regenerates the
 basis to assemble the solution factor, roughly doubling the operator calls
-but never storing the basis.
+but never storing the basis.  Pass one's block tridiagonal H grows inside a
+buffer that doubles when full, and each step's projected solve
+(:class:`dense_eq.ProjectedLyapunov`) yields only the last block row of the
+solution, the part the cheap residual reads; the full projected solution is
+formed and checked once, when pass one stops.
 """
 
 import time
@@ -25,7 +34,7 @@ import numpy as np
 
 from .arnoldi import arnoldi_extend, arnoldi_init
 from .compression import LowRankFactorPair, SymLowRankFactor, TruncationRule, _eig_by_magnitude
-from .dense_eq import solve_lyapunov_ldlt, solve_sylvester_dense
+from .dense_eq import ProjectedLyapunov, solve_lyapunov_ldlt, solve_sylvester_dense
 from .errors import (
     IndefiniteOperatorError,
     LossOfOrthogonalityError,
@@ -35,7 +44,7 @@ from .errors import (
 )
 from .linalg import orthonormalize_block, qr_economy
 from .restarted import SolveReport, _as_block, _factor_pair, _product_norm
-from .residuals import residual_norm_lyap, true_residual_lyap, true_residual_sylv
+from .residuals import _SLICE_COLUMNS, residual_norm_lyap, true_residual_lyap, true_residual_sylv
 from .sparse import OpCounter, estimate_norm2, spmm
 
 __all__ = ["InnerSolverConfig", "block_cg", "block_gmres", "eksm_lyap", "eksm_sylv",
@@ -68,9 +77,15 @@ class InnerSolverConfig:
 def block_cg(A, RHS, cfg, counter):
     """Coupled block conjugate gradients for SPD A.
 
-    Search directions are re-orthonormalized by a block QR every step, which
-    keeps the small Gram systems well conditioned for clustered right-hand
-    sides.  Stops at ``||A X - RHS||_F <= cfg.tol * ||RHS||_F``.
+    Each step inverts the Cholesky factor L of the search directions' Gram
+    matrix ``P* A P`` once and applies its inverse ``L^-* L^-1`` to both
+    step matrices by products: on blocks a few columns wide, a LAPACK call
+    costs more than the arithmetic.  The new direction block is
+    re-orthonormalized every step (:func:`_direction_block`), which keeps
+    the small Gram systems well conditioned for clustered right-hand sides.
+    The first block goes through :func:`linalg.qr_economy`, which also
+    rejects a non-finite right-hand side.  Stops at
+    ``||A X - RHS||_F <= cfg.tol * ||RHS||_F``.
     """
     RHS = np.asarray(RHS, dtype=np.float64)
     rhs_norm = np.linalg.norm(RHS)
@@ -78,7 +93,7 @@ def block_cg(A, RHS, cfg, counter):
         return np.zeros_like(RHS)
     X = np.zeros(RHS.shape)  # C order: a mixed-layout X += P @ alpha is slow
     R = RHS.copy()
-    P, _ = qr_economy(R)  # also rejects a non-finite right-hand side
+    P, _ = qr_economy(R)
     for _ in range(cfg.max_iter):
         W = spmm(A, P, counter)
         M = P.T @ W
@@ -89,15 +104,31 @@ def block_cg(A, RHS, cfg, counter):
             raise IndefiniteOperatorError(
                 "block CG: search-direction Gram matrix is not positive definite"
             ) from None
-        alpha = np.linalg.solve(lo.T, np.linalg.solve(lo, P.T @ R))
+        lo_inv = np.linalg.inv(lo)
+        M_inv = lo_inv.T @ lo_inv
+        alpha = M_inv @ (P.T @ R)
         X += P @ alpha
         R -= W @ alpha
         if np.linalg.norm(R) <= cfg.tol * rhs_norm:
             return X
-        beta = -np.linalg.solve(lo.T, np.linalg.solve(lo, W.T @ R))
-        # column signs cancel in P @ alpha and P @ beta, so a plain QR will do
-        P = np.linalg.qr(R + P @ beta)[0]
+        beta = -M_inv @ (W.T @ R)
+        P = _direction_block(R + P @ beta)
     raise NonConvergenceError(f"block CG did not reach {cfg.tol:g} in {cfg.max_iter} iterations")
+
+
+def _direction_block(D):
+    """Columns spanning ``D``'s range, orthonormal to about ``cond(D)^2 u``.
+
+    One Cholesky-QR pass: block CG's step matrices are exact for any full-rank
+    direction block, so the pass need not be repeated.  A Householder QR
+    (column signs cancel in ``P @ alpha`` and ``P @ beta``) stands in where
+    the Cholesky factorization fails, as on a rank-deficient block.
+    """
+    try:
+        lo = np.linalg.cholesky(D.T @ D)
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(D)[0]
+    return D @ np.linalg.inv(lo).T
 
 
 def block_gmres(A, RHS, cfg, counter):
@@ -162,7 +193,8 @@ class _ExtendedBasis:
     preallocated ``max_dim x max_dim`` array, from the cached images, so its
     assembly costs no operator applications beyond the one image per new
     block.  ``rhs`` is ``U* C``, read off the first pair's R factor: nonzero
-    only in its leading 2s rows.
+    only in its leading 2s rows.  :meth:`residual_norm` reads the cached
+    images a row slice at a time.
     """
 
     def __init__(self, A, C, inner, counter, max_dim):
@@ -201,10 +233,21 @@ class _ExtendedBasis:
         self.T, self.rhs = self._T[:e, :e], self._rhs[:e]
         return R
 
-    def residual_factor(self, Y):
-        """F Y with F the out-of-space part of the cached images."""
-        F = self.U @ self.T
-        return np.subtract(self.AU, F, out=F) @ Y
+    def residual_norm(self, Y):
+        """``||F Y||_F`` with F the out-of-space part ``A U - U T`` of the cached images.
+
+        Accumulated over row slices of about ``residuals._SLICE_COLUMNS``
+        n-columns, so that neither ``U T`` nor F is ever formed whole.
+        """
+        n, dim = self.U.shape
+        height = -(-_SLICE_COLUMNS * n // dim)
+        total = 0.0
+        for start in range(0, n, height):
+            rows = slice(start, start + height)
+            F = self.U[rows] @ self.T
+            np.subtract(self.AU[rows], F, out=F)
+            total += np.linalg.norm(F @ Y) ** 2
+        return float(np.sqrt(total))
 
     def extend(self):
         """Append the newest direct block's cached image and the newest inverse block's inverse."""
@@ -251,7 +294,7 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
         # symmetric to roundoff for symmetric A; made exact, it takes the eigh route
         T = 0.5 * (basis.T + basis.T.T) if A.symmetric else basis.T
         Y = solve_lyapunov_ldlt(T, basis.rhs, np.eye(s))
-        r = float(np.sqrt(2.0) * np.linalg.norm(basis.residual_factor(Y)))
+        r = float(np.sqrt(2.0) * basis.residual_norm(Y))
         report.residual_history.append(r)
         if r <= tol_res:
             break
@@ -291,10 +334,7 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
     while True:
         F = ba.rhs @ bb.rhs.T
         Y = solve_sylvester_dense(ba.T, bb.T, F)
-        r = float(np.hypot(
-            np.linalg.norm(ba.residual_factor(Y)),
-            np.linalg.norm(bb.residual_factor(Y.T)),
-        ))
+        r = float(np.hypot(ba.residual_norm(Y), bb.residual_norm(Y.T)))
         report.residual_history.append(r)
         if r <= tol_res:
             break
@@ -314,12 +354,23 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
     return fac, report
 
 
+def _with_room(buf, k):
+    """``buf`` if it holds a k x k block, else a zero buffer of twice k's size holding ``buf``."""
+    if k <= buf.shape[0]:
+        return buf
+    grown = np.zeros((2 * k, 2 * k))
+    grown[: buf.shape[0], : buf.shape[1]] = buf
+    return grown
+
+
 def sksm_two_pass(A, C, tol_res, max_m, verify=False):
     """Two-pass block Lanczos solver for A X + X A* + C C* = 0, A symmetric.
 
     Pass one keeps only three basis blocks live while growing the projected
-    block tridiagonal matrix and checking the cheap residual each step; pass
-    two regenerates the basis to accumulate the solution factor.  With
+    block tridiagonal matrix and checking the cheap residual each step from
+    the last block row of the projected solution; the whole projected
+    solution is formed once, when pass one stops.  Pass two regenerates the
+    basis to accumulate the solution factor.  With
     ``verify=True`` the factored true residual is compared against the cheap
     one at the end and a serious mismatch raises
     :class:`LossOfOrthogonalityError`.
@@ -348,29 +399,31 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
         return Qn, alpha, beta
 
     U1, R0 = qr_economy(C)
-    H = np.zeros((0, 0))
+    Hbuf = np.zeros((0, 0))  # H is its leading k x k block
     U_prev, U_cur = None, U1
     beta_prev = None
-    Y = None
     m = 0
     converged = False
     for j in range(1, max_m + 1):
         Qn, alpha, beta = lanczos_step(U_prev, U_cur, beta_prev)
-        H = np.pad(H, ((0, s), (0, s)))
+        proj = None  # free the last step's k x k arrays before the next solve
+        k = j * s
+        Hbuf = _with_room(Hbuf, k)
+        H = Hbuf[:k, :k]
         H[-s:, -s:] = alpha
         if beta_prev is not None:
             H[-s:, -2 * s : -s] = beta_prev
             H[-2 * s : -s, -s:] = beta_prev.T
-        Ctil = np.zeros((j * s, s))
-        Ctil[:s, :] = R0
-        Y = solve_lyapunov_ldlt(H, Ctil, np.eye(s))
-        r = residual_norm_lyap(beta, Y, "frobenius")
+        proj = ProjectedLyapunov(H, R0, np.eye(s))
+        r = residual_norm_lyap(beta, proj.last_rows(s), "frobenius")
         report.residual_history.append(r)
         m = j
         if r <= tol_res:
             converged = True
             break
         U_prev, U_cur, beta_prev = U_cur, Qn, beta
+    Y = proj.solution()
+    proj = H = Hbuf = None
     report.iterations = m
 
     norm_a = estimate_norm2(A)

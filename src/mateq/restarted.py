@@ -17,7 +17,12 @@ Lyapunov, ``QL diag(sig) QR*`` for Sylvester, square-root balanced only on
 return), so each update orthogonalizes just the new columns ``V_m W``; the
 compressed residual factors are orthonormal too and start the next cycle
 without a QR.  ``restarted_lyap`` on an operator flagged symmetric solves
-with the exactly symmetric ``0.5 (H + H.T)`` (the eigh route).
+with the exactly symmetric ``0.5 (H + H.T)`` (the eigh route).  Its inner
+steps take from :class:`dense_eq.ProjectedLyapunov` only the last block row
+of the projected solution, which is all the cheap residual reads; the whole
+solution is formed and checked once per cycle, when the cycle stops, for
+the restart residual and the solution update.  Each step's projected solve
+is dropped before the next one is built.
 
 Memory at a cycle's end is released in reading order: the restart residual
 is compressed first, while only the Arnoldi bases and the running solution
@@ -51,7 +56,8 @@ from .compression import (
     compress,
     compress_sym,
 )
-from .dense_eq import solve_lyapunov_ldlt, solve_sylvester_dense
+# solve_lyapunov_ldlt is not called here; bench/spans.py traces it under this module's name
+from .dense_eq import ProjectedLyapunov, solve_lyapunov_ldlt, solve_sylvester_dense  # noqa: F401
 from .errors import MemoryBudgetError
 from .linalg import svd
 from .residuals import (
@@ -472,19 +478,17 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         Dmid = res.S
         res = None  # its factor is copied into the basis
         flagconv = False
-        Y = None
         for _ in range(mk):
             arnoldi_extend(dec)
             peak = max(peak, dec.materialized_columns)
-            kk = dec.m * sk
-            Ctil = np.zeros((kk, sk))
-            Ctil[:sk, :] = dec.r0
+            proj = H = None  # free the last step's k x k arrays before the next solve
             # symmetric to roundoff for symmetric A; made exact, it takes the eigh route
             H = 0.5 * (dec.H + dec.H.T) if A.symmetric else dec.H
-            Y = solve_lyapunov_ldlt(H, Ctil, Dmid)
-            r = residual_norm_lyap(dec.boundary, Y, config.norm)
+            proj = ProjectedLyapunov(H, dec.r0, Dmid)
+            r = residual_norm_lyap(dec.boundary, proj.last_rows(sk), config.norm)
             report.residual_history.append(r)
             if verify:
+                Y = proj.solution()
                 Xacc = XL @ SX @ XL.T + dec.basis @ Y @ dec.basis.T
                 report.explicit_history.append(
                     explicit_residual_lyap(A, C, Xacc, config.norm)
@@ -495,6 +499,8 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
             if dec.breakdown:
                 break
         _close_cycle(report)
+        Y = proj.solution()
+        proj = H = None
         if not flagconv:
             swap = np.zeros((2 * sk, 2 * sk))
             swap[:sk, sk:] = np.eye(sk)

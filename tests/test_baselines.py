@@ -51,6 +51,35 @@ def test_block_cg_rejects_indefinite():
         block_cg(A, np.ones((2, 1)), InnerSolverConfig(), OpCounter())
 
 
+def test_block_cg_takes_householder_on_rank_deficient_directions(monkeypatch):
+    # e1 - e2 = b1 - b2 is an eigenvector, so after one step the residual
+    # block, and with it the new direction block, has rank one
+    calls = []
+    householder = np.linalg.qr
+
+    def spy(M, *args, **kwargs):
+        calls.append(M.shape)
+        return householder(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    Ad = np.diag([1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
+    RHS = np.zeros((11, 2))
+    RHS[2:] = 1.0
+    RHS[0, 0] = RHS[1, 1] = 1.0
+    cnt = OpCounter()
+    X = block_cg(as_op(Ad, symmetric=True), RHS, InnerSolverConfig(tol=1e-10), cnt)
+    assert np.linalg.norm(Ad @ X - RHS) <= 1e-10 * np.linalg.norm(RHS)
+    assert len(calls) >= 2 and cnt.a_calls >= 2  # the first block's QR, then the fallback
+    # full-rank direction blocks take the Cholesky-QR pass: only the first block's QR runs
+    calls.clear()
+    A = laplacian_2d(20)
+    RHS = rng_for(2).standard_normal((A.n, 3))
+    cnt = OpCounter()
+    X = block_cg(A, RHS, InnerSolverConfig(tol=1e-8), cnt)
+    assert np.linalg.norm(A.apply(X) - RHS) <= 1e-8 * np.linalg.norm(RHS)
+    assert len(calls) == 1 and cnt.a_calls > 10
+
+
 def test_block_gmres_identity():
     rng = rng_for(3)
     RHS = rng.standard_normal((7, 2))
@@ -162,6 +191,24 @@ def test_sksm_matches_oracle():
     Xo = kron_oracle(Ad, Ad.T, C @ C.T)
     assert np.linalg.norm(fac.to_dense() - Xo) <= 10 * 1e-8 * max(np.linalg.norm(Xo), 1)
     assert rep.counters["A"]["a_calls"] == 2 * rep.iterations - 1
+
+
+def test_sksm_checks_the_projected_solution_once(monkeypatch):
+    # the inner steps check only what needs no Y; the full solution is formed
+    # and checked once, when pass one stops
+    calls = []
+    check = dense_eq._check_solution
+
+    def spy(*args):
+        calls.append(args[3].shape)
+        return check(*args)
+
+    monkeypatch.setattr(dense_eq, "_check_solution", spy)
+    A = laplacian_2d(10)
+    C = rng_for(16).standard_normal((A.n, 2))
+    _, rep = sksm_two_pass(A, C, 1e-8, 100)
+    assert rep.converged and rep.iterations >= 5
+    assert calls == [(2 * rep.iterations, 2 * rep.iterations)]
 
 
 def test_sksm_requires_symmetric():

@@ -3,13 +3,20 @@ import pytest
 import scipy.linalg
 
 from mateq import (
+    SolverConfig,
+    SparseOperator,
+    baselines,
+    dense_eq,
     kron_oracle,
     laplacian_2d,
     random_rhs,
+    restarted,
+    restarted_lyap,
     sksm_two_pass,
     solve_lyapunov_ldlt,
     solve_sylvester_dense,
 )
+from mateq.dense_eq import ProjectedLyapunov
 from mateq.errors import DimensionMismatchError, SingularOperatorError
 
 from conftest import rng_for, spd_dense, stable_dense
@@ -155,6 +162,67 @@ def test_lyapunov_detects_singular_operator():
     # a right-hand side with no component on the singular pair is consistent
     Y = solve_lyapunov_ldlt(H, np.eye(2), np.eye(2))
     assert np.array_equal(Y, np.diag([-0.5, 0.5]))
+
+
+def _nonsymmetric(rng, k):
+    return -stable_dense(rng, k)
+
+
+@pytest.mark.parametrize("make_h", [_symmetric_definite, _symmetric_indefinite, _nonsymmetric])
+def test_projected_lyapunov_last_rows_match_full_solve(make_h):
+    # the head R0 stands for Ctil = [R0; 0]; S is indefinite
+    rng = rng_for(12)
+    k, s = 12, 2
+    H = make_h(rng, k)
+    R0 = rng.standard_normal((2 * s, 2 * s))
+    S = _swap_middle(s)
+    Ctil = np.zeros((k, 2 * s))
+    Ctil[: 2 * s] = R0
+    Y = solve_lyapunov_ldlt(H, Ctil, S)
+    proj = ProjectedLyapunov(H, R0, S)
+    assert np.linalg.norm(proj.last_rows(s) - Y[-s:]) <= 1e-13 * np.linalg.norm(Y[-s:])
+    assert np.linalg.norm(proj.solution() - Y) <= 1e-13 * np.linalg.norm(Y)
+    with pytest.raises(DimensionMismatchError):
+        ProjectedLyapunov(H, rng.standard_normal((k + 1, s)), np.eye(s))
+
+
+def _zero_sum_pair_operator():
+    # Lanczos and Arnoldi from e1 reproduce T, so the second projected matrix
+    # is [[1, 0.5], [0.5, -1]]: its eigenvalues +-sqrt(1.25) sum to zero
+    T = np.diag([1.0, -1.0, 2.0, 3.0, 4.0, 5.0])
+    i = np.arange(5)
+    T[i, i + 1] = T[i + 1, i] = 0.5
+    return SparseOperator.from_dense(T, symmetric=True)
+
+
+@pytest.mark.parametrize("driver", ["sksm", "restarted"])
+def test_singular_projected_equation_raises_at_an_intermediate_step(monkeypatch, driver):
+    built, checked = [], []
+    projected, check = ProjectedLyapunov, dense_eq._check_solution
+
+    def spy_projected(H, R0, S):
+        built.append(H.shape[0])
+        return projected(H, R0, S)
+
+    def spy_check(*args):
+        checked.append(args[0].shape[0])
+        return check(*args)
+
+    module = baselines if driver == "sksm" else restarted
+    monkeypatch.setattr(module, "ProjectedLyapunov", spy_projected)
+    monkeypatch.setattr(dense_eq, "_check_solution", spy_check)
+    A = _zero_sum_pair_operator()
+    C = np.zeros((A.n, 1))
+    C[0] = 1.0
+    with pytest.raises(SingularOperatorError):
+        if driver == "sksm":
+            sksm_two_pass(A, C, 1e-10, 6)
+        else:
+            restarted_lyap(A, C, SolverConfig(memmax=12, tol_res=1e-10))
+    # step 1 solves, step 2 of a budget of 6 (11) raises from the checks that
+    # need no Y; the full solution is never formed
+    assert built == [1, 2]
+    assert checked == []
 
 
 def test_symmetric_lyapunov_needs_no_schur_forms(monkeypatch):

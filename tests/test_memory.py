@@ -1,4 +1,4 @@
-"""The restarted solvers' allocated memory against the budget stated in README.
+"""The Krylov solvers' allocated memory against the budget stated in README.
 
 README ("Memory") states the bound
 
@@ -7,7 +7,9 @@ README ("Memory") states the bound
 for the ``tracemalloc`` peak of one solve: operator bytes are the CSR arrays
 of the coefficients, solution columns the widest solution factors (both
 factors for Sylvester), and ``s_max`` the widest right-hand side or restart
-residual.  The measured ``c`` is about 3 to 5; the check allows 8.  The
+residual.  The measured ``c`` is about 3 to 5; the check allows 8.
+``eksm_lyap`` is held to the same bound with ``2 max_dim`` in place of
+``memmax``, for its preallocated basis and operator images.  The
 block Gram-Schmidt step that every Krylov basis grows by is held to one
 scratch block of its own size.
 """
@@ -17,7 +19,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mateq import SolverConfig, problems, restarted_lyap, restarted_sylv
+from mateq import (
+    InnerSolverConfig,
+    SolverConfig,
+    eksm_lyap,
+    problems,
+    restarted_lyap,
+    restarted_sylv,
+)
 from mateq.linalg import orthonormalize_block
 
 from conftest import rng_for
@@ -66,6 +75,23 @@ def test_peak_memory_within_stated_budget(problem):
     s_max = max([report.s, *report.residual_ranks])
     budget = _csr_bytes(*ops) + 8 * report.n * (
         report.memmax + solution_columns + C_PER_RESIDUAL_COLUMN * s_max
+    )
+    assert peak <= budget, (
+        f"peak {peak / (8 * report.n):.1f} n-columns > budget {budget / (8 * report.n):.1f}"
+    )
+
+
+def test_eksm_lyap_peak_memory_within_stated_budget():
+    # the basis and its images are preallocated, 2 max_dim columns in place of
+    # memmax; the outer residual norm is taken in row slices, so no n x dim
+    # temporary (about 1.4 dim columns here) comes on top of them
+    A = problems.laplacian_2d(40)
+    C = problems.random_rhs(A.n, 3, seed=0)
+    inner = InnerSolverConfig(kind="block-cg", tol=1e-8)
+    (_, report), peak = _traced_peak(lambda: eksm_lyap(A, C, inner, 1e-6, 96))
+    assert report.converged and report.basis_dim >= 48
+    budget = _csr_bytes(A) + 8 * report.n * (
+        2 * report.memmax + report.solution_rank + C_PER_RESIDUAL_COLUMN * report.s
     )
     assert peak <= budget, (
         f"peak {peak / (8 * report.n):.1f} n-columns > budget {budget / (8 * report.n):.1f}"

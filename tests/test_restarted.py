@@ -198,6 +198,25 @@ def test_lyap_symmetric_operator_takes_the_eigh_route(monkeypatch, symmetric):
     assert np.all(np.abs(cheap - explicit) <= 1e-9 * explicit)
 
 
+def test_lyap_checks_the_projected_solution_once_per_cycle(monkeypatch):
+    # on the eigh route the inner steps check only what needs no Y; the full
+    # solution is formed and checked once, when the cycle stops
+    calls = []
+    check = dense_eq._check_solution
+
+    def spy(*args):
+        calls.append(args[3].shape)
+        return check(*args)
+
+    monkeypatch.setattr(dense_eq, "_check_solution", spy)
+    A = laplacian_2d(12)
+    C = random_rhs(A.n, 2, seed=0, normalize=True)
+    _, rep = restarted_lyap(A, C, SolverConfig(memmax=32, tol_res=1e-6))
+    assert rep.converged and rep.restarts >= 1
+    assert len(calls) == len(rep.cycle_starts) == rep.restarts + 1
+    assert rep.iterations > len(calls)
+
+
 def test_rank_zero_residual_means_converged():
     # identity coefficients: first correction is exact, residual compresses to 0
     n = 8
