@@ -131,10 +131,13 @@ def arnoldi_extend(dec):
     U = dec._Q[:, : (j + 1) * s]
     W = dec._Q[:, (j + 1) * s : (j + 2) * s]
     W[...] = spmm(dec.operator, U[:, j * s :], dec.counter)
-    dec.op_norm_est = max(dec.op_norm_est, float(np.linalg.norm(W, axis=0).max()))
     col = slice(j * s, (j + 1) * s)
     P, Rn = orthonormalize_block(U, W)
-    dec._Hbar[: (j + 2) * s, col] = np.vstack([P, Rn])
+    Hcol = dec._Hbar[: (j + 2) * s, col]
+    Hcol[...] = np.vstack([P, Rn])
+    # the image is U P + Q Rn with [U, Q] orthonormal, so [P; Rn] has the
+    # image's column norms, without another pass over the n x s image
+    dec.op_norm_est = max(dec.op_norm_est, float(np.linalg.norm(Hcol, axis=0).max()))
     dec.m = j + 1
     if np.abs(np.diagonal(Rn)).min() <= 1e-12 * dec.op_norm_est:
         dec.breakdown = True

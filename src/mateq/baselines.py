@@ -11,10 +11,12 @@ application is counted.  The outer residual norm is accumulated from the
 cached images over row slices, so their n x dim out-of-space part is never
 formed whole.  For an operator flagged symmetric the projected Lyapunov
 equation is solved with the exactly symmetric ``0.5 (T + T*)``, which takes
-the eigh route, as in ``restarted_lyap``.  The inner solves of block CG
-apply the inverse of their small Gram matrices by products and
-re-orthonormalize each direction block by one Cholesky-QR pass, so that
-LAPACK calls on width-s blocks do not outweigh the operator products.
+the eigh route, as in ``restarted_lyap``.  Block CG's inner solves cost
+about what their products cost: each step factors its two s x s Gram
+matrices with LAPACK's ``potrf`` and inverts the factors with ``trtri``,
+applies the inverses by products, forms the direction block's Gram matrix
+by gemm rather than numpy's slower syrk path, and re-orthonormalizes that
+block by one Cholesky-QR pass.
 
 :func:`sksm_two_pass` is the short-recurrence polynomial method for symmetric
 coefficients: pass one runs a block Lanczos three-term recurrence keeping
@@ -42,7 +44,7 @@ from .errors import (
     NonConvergenceError,
     RankDeficientBlockError,
 )
-from .linalg import orthonormalize_block, qr_economy
+from .linalg import _inverse_cholesky_factor, orthonormalize_block, qr_economy
 from .restarted import SolveReport, _as_block, _factor_pair, _product_norm
 from .residuals import _SLICE_COLUMNS, residual_norm_lyap, true_residual_lyap, true_residual_sylv
 from .sparse import OpCounter, estimate_norm2, spmm
@@ -75,16 +77,21 @@ class InnerSolverConfig:
 
 
 def block_cg(A, RHS, cfg, counter):
-    """Coupled block conjugate gradients for SPD A.
+    """Coupled block conjugate gradients for SPD A (O'Leary, LAA 29, 1980).
 
-    Each step inverts the Cholesky factor L of the search directions' Gram
-    matrix ``P* A P`` once and applies its inverse ``L^-* L^-1`` to both
-    step matrices by products: on blocks a few columns wide, a LAPACK call
-    costs more than the arithmetic.  The new direction block is
-    re-orthonormalized every step (:func:`_direction_block`), which keeps
-    the small Gram systems well conditioned for clustered right-hand sides.
-    The first block goes through :func:`linalg.qr_economy`, which also
-    rejects a non-finite right-hand side.  Stops at
+    Each step factors the search directions' Gram matrix ``P* A P = L L*``
+    and inverts L with LAPACK's triangular routines
+    (:func:`linalg._inverse_cholesky_factor`), then applies ``L^-* L^-1`` to
+    both step matrices by products: on blocks a few columns wide, a general
+    solve or inverse costs more than the arithmetic.  A failed factorization
+    raises :class:`IndefiniteOperatorError`, whether ``A`` is indefinite or
+    maps a direction to zero.  The new direction block is re-orthonormalized
+    every step (:func:`_direction_block`; Dubrulle, ETNA 12, 2001), which
+    keeps the small Gram systems well conditioned for clustered right-hand
+    sides.  The first block goes through :func:`linalg.qr_economy`, which
+    also rejects a non-finite right-hand side.  Every n-row array is its own
+    contiguous buffer: updates on column views of a shared buffer are
+    strided and several times slower.  Stops at
     ``||A X - RHS||_F <= cfg.tol * ||RHS||_F``.
     """
     RHS = np.asarray(RHS, dtype=np.float64)
@@ -97,14 +104,11 @@ def block_cg(A, RHS, cfg, counter):
     for _ in range(cfg.max_iter):
         W = spmm(A, P, counter)
         M = P.T @ W
-        M = 0.5 * (M + M.T)
-        try:
-            lo = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
+        lo_inv = _inverse_cholesky_factor(0.5 * (M + M.T))
+        if lo_inv is None:
             raise IndefiniteOperatorError(
                 "block CG: search-direction Gram matrix is not positive definite"
-            ) from None
-        lo_inv = np.linalg.inv(lo)
+            )
         M_inv = lo_inv.T @ lo_inv
         alpha = M_inv @ (P.T @ R)
         X += P @ alpha
@@ -119,16 +123,18 @@ def block_cg(A, RHS, cfg, counter):
 def _direction_block(D):
     """Columns spanning ``D``'s range, orthonormal to about ``cond(D)^2 u``.
 
-    One Cholesky-QR pass: block CG's step matrices are exact for any full-rank
-    direction block, so the pass need not be repeated.  A Householder QR
+    One Cholesky-QR pass, ``D inv(L)*`` with ``L L* = D* D``: block CG's
+    step matrices are exact for any full-rank direction block, so the pass
+    need not be repeated.  The Gram matrix is a gemm against a copy of
+    ``D``, because numpy sends ``D.T @ D`` on one buffer to OpenBLAS's syrk,
+    two to three times slower on blocks this narrow.  A Householder QR
     (column signs cancel in ``P @ alpha`` and ``P @ beta``) stands in where
     the Cholesky factorization fails, as on a rank-deficient block.
     """
-    try:
-        lo = np.linalg.cholesky(D.T @ D)
-    except np.linalg.LinAlgError:
+    lo_inv = _inverse_cholesky_factor(D.T @ D.copy())
+    if lo_inv is None:
         return np.linalg.qr(D)[0]
-    return D @ np.linalg.inv(lo).T
+    return D @ lo_inv.T
 
 
 def block_gmres(A, RHS, cfg, counter):

@@ -10,13 +10,20 @@ LAPACK through numpy; these wrappers only add the contracts.
 basis, factors its block by Cholesky QR: a Gram matrix, its Cholesky factor
 and one product with the factor's inverse, a fraction of a Householder QR's
 cost on blocks a few dozen columns wide.  A Householder QR stands in only
-where the Cholesky factorization fails.  The hot path stays on numpy's BLAS,
-which is why the inverse is formed with ``np.linalg.inv`` and applied by
-``np.matmul`` rather than by scipy's triangular solve: mixing in scipy's BLAS
-makes two OpenBLAS thread pools contend for the cores.
+where the Cholesky factorization fails.
+
+Every product with n rows stays on numpy's BLAS, which is why the kernel's
+inverse factor is applied by ``np.matmul`` rather than by scipy's triangular
+solve: n-row products that mix in scipy's BLAS make two OpenBLAS thread pools
+contend for the cores.  Calls on s x s matrices are exempt.
+:func:`_inverse_cholesky_factor` calls LAPACK's ``potrf`` and ``trtri``
+through scipy, because on matrices a few rows wide numpy's wrappers cost
+several times the arithmetic, and OpenBLAS runs a factorization that small
+on the calling thread alone.
 """
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import DimensionMismatchError, NonConvergenceError
 
@@ -54,22 +61,23 @@ def check_symmetric(M, name="matrix"):
 
 
 def _fix_vector_signs(U, *companions):
-    """Flip column signs so the first nonzero component of each column is >= 0.
+    """Flip column signs in place so the first nonzero component of each column is >= 0.
 
     "Nonzero" means above ``1e-12`` times the column's largest magnitude.
     ``companions`` receive the same flips on their rows (for V* in an SVD).
+    Returns the arrays it was given.  The only temporaries of ``U``'s shape
+    are two boolean masks: no magnitude array and no copy of the columns.
     """
-    U = np.array(U, copy=True)
-    out = [np.array(c, copy=True) for c in companions]
-    if U.shape[0] == 0:
-        return (U, *out) if out else U
-    mag = np.abs(U)
-    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
-    flip = U[first, np.arange(U.shape[1])] < 0
-    U[:, flip] = -U[:, flip]
-    for c in out:
-        c[flip, :] = -c[flip, :]
-    return (U, *out) if out else U
+    if U.shape[0] > 0:
+        tol = 1e-12 * np.maximum(U.max(axis=0), -U.min(axis=0))  # max |U| per column
+        big = U > tol
+        big |= U < -tol
+        first = np.argmax(big, axis=0)
+        sign = np.where(U[first, np.arange(U.shape[1])] < 0, -1.0, 1.0)
+        U *= sign  # multiplying by +-1 is exact
+        for c in companions:
+            c *= sign[:, None]
+    return (U, *companions) if companions else U
 
 
 def _qr_reduced_signed(M):
@@ -99,6 +107,19 @@ def qr_economy(M):
     if n < k:
         raise DimensionMismatchError(f"economy QR needs n >= k, got {M.shape}")
     return _qr_reduced_signed(M)
+
+
+def _inverse_cholesky_factor(M):
+    """``inv(L)`` for the lower Cholesky factor L of a small SPD matrix ``M``.
+
+    Reads ``M``'s lower triangle.  Returns ``None`` where the factorization
+    fails (LAPACK ``info > 0``: ``M`` is not numerically positive definite);
+    callers decide what that means.
+    """
+    lo, info = dpotrf(M, lower=1)
+    if info > 0:
+        return None
+    return dtrtri(lo, lower=1)[0]
 
 
 def _cholesky_qr(W, out, shift=False):
@@ -181,13 +202,11 @@ def eig_sym(M):
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"eig_sym needs a square matrix, got {M.shape}")
     check_symmetric(M, "M")
-    Msym = 0.5 * (M + M.T)
     try:
-        lam, W = np.linalg.eigh(Msym)
+        lam, W = np.linalg.eigh(0.5 * (M + M.T))  # the symmetrized copy dies here
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
     order = np.argsort(-lam, kind="stable")  # stable: ties keep eigh's order
-    lam = lam[order]
-    W = _fix_vector_signs(W[:, order])
-    return W, lam
+    W = W[:, order]
+    return _fix_vector_signs(W), lam[order]
 

@@ -80,6 +80,54 @@ def test_block_cg_takes_householder_on_rank_deficient_directions(monkeypatch):
     assert len(calls) == 1 and cnt.a_calls > 10
 
 
+def test_block_cg_calls_no_numpy_cholesky_or_inverse(monkeypatch):
+    # the s x s factors go through LAPACK potrf/trtri, not numpy's wrappers
+    calls = []
+    for name in ("cholesky", "inv"):
+        real = getattr(np.linalg, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    A = laplacian_2d(20)
+    RHS = rng_for(2).standard_normal((A.n, 3))
+    cnt = OpCounter()
+    X = block_cg(A, RHS, InnerSolverConfig(tol=1e-8), cnt)
+    assert np.linalg.norm(A.apply(X) - RHS) <= 1e-8 * np.linalg.norm(RHS)
+    assert cnt.a_calls > 10 and calls == []
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e7])
+def test_direction_block_spans_and_is_orthonormal(cond):
+    # one Cholesky-QR pass: orthonormal to about cond(D)^2 u, same range as D
+    rng = rng_for(14)
+    n, s = 400, 3
+    u = np.finfo(float).eps / 2
+    for _ in range(5):
+        Q1, _ = np.linalg.qr(rng.standard_normal((n, s)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((s, s)))
+        D = 3.0 * (Q1 * np.logspace(0, -np.log10(cond), s)) @ Q2.T
+        P = baselines._direction_block(D)
+        assert P.shape == D.shape
+        kappa = np.linalg.cond(D)
+        assert np.linalg.norm(P.T @ P - np.eye(s)) <= s * np.sqrt(n) * kappa ** 2 * u
+        coef = np.linalg.lstsq(P, D, rcond=None)[0]
+        assert np.linalg.norm(P @ coef - D) <= 1e-13 * np.linalg.norm(D)
+
+
+@pytest.mark.parametrize("diag, cols", [
+    ([1.0, -1.0, 2.0], [1, 2]),  # indefinite: P* A P = diag(-1, 2)
+    ([1.0, 0.0, 2.0], [1, 0]),   # A maps a direction to zero: P* A P = diag(0, 1)
+])
+def test_block_cg_gram_factorization_failure_raises(diag, cols):
+    A = SparseOperator.from_dense(np.diag(diag), symmetric=True)
+    RHS = np.eye(3)[:, cols]
+    with pytest.raises(IndefiniteOperatorError):
+        block_cg(A, RHS, InnerSolverConfig(), OpCounter())
+
+
 def test_block_gmres_identity():
     rng = rng_for(3)
     RHS = rng.standard_normal((7, 2))

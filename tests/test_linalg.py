@@ -174,11 +174,13 @@ def test_fix_vector_signs_matches_loop():
     U[0, 4] = -1e-12 * np.abs(U[:, 4]).max()  # exactly at the threshold: skipped
     U[:, 5] = -np.abs(U[:, 5])
     Vt = rng.standard_normal((8, 5))
-    got_u, got_v = _fix_vector_signs(U, Vt)
+    got_u, got_v = U.copy(), Vt.copy()
+    assert _fix_vector_signs(got_u, got_v)[0] is got_u  # flips in place
     ref_u, ref_v = _fix_vector_signs_loop(U, Vt)
     assert np.array_equal(got_u, ref_u) and np.array_equal(got_v, ref_v)
     assert np.array_equal(np.signbit(got_u), np.signbit(ref_u))
-    assert np.array_equal(_fix_vector_signs(U), ref_u)
+    assert np.array_equal(np.signbit(got_v), np.signbit(ref_v))
+    assert np.array_equal(_fix_vector_signs(U.copy()), ref_u)
     for shape in [(0, 3), (4, 0), (0, 0)]:
         assert _fix_vector_signs(np.zeros(shape)).shape == shape
 
