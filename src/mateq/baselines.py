@@ -14,9 +14,8 @@ equation is solved with the exactly symmetric ``0.5 (T + T*)``, which takes
 the eigh route, as in ``restarted_lyap``.  Block CG's inner solves cost
 about what their products cost: each step factors its two s x s Gram
 matrices with LAPACK's ``potrf`` and inverts the factors with ``trtri``,
-applies the inverses by products, forms the direction block's Gram matrix
-by gemm rather than numpy's slower syrk path, and re-orthonormalizes that
-block by one Cholesky-QR pass.
+applies the inverses by products, and re-orthonormalizes the direction block
+by one pass of the Gram-Schmidt kernel's Cholesky QR on a gemm Gram matrix.
 
 :func:`sksm_two_pass` is the short-recurrence polynomial method for symmetric
 coefficients: pass one runs a block Lanczos three-term recurrence keeping
@@ -44,7 +43,7 @@ from .errors import (
     NonConvergenceError,
     RankDeficientBlockError,
 )
-from .linalg import _inverse_cholesky_factor, orthonormalize_block, qr_economy
+from .linalg import _cholesky_factors, _cholesky_qr, orthonormalize_block, qr_economy
 from .restarted import SolveReport, _as_block, _factor_pair, _product_norm
 from .residuals import _SLICE_COLUMNS, residual_norm_lyap, true_residual_lyap, true_residual_sylv
 from .sparse import OpCounter, estimate_norm2, spmm
@@ -80,19 +79,21 @@ def block_cg(A, RHS, cfg, counter):
     """Coupled block conjugate gradients for SPD A (O'Leary, LAA 29, 1980).
 
     Each step factors the search directions' Gram matrix ``P* A P = L L*``
-    and inverts L with LAPACK's triangular routines
-    (:func:`linalg._inverse_cholesky_factor`), then applies ``L^-* L^-1`` to
-    both step matrices by products: on blocks a few columns wide, a general
-    solve or inverse costs more than the arithmetic.  A failed factorization
-    raises :class:`IndefiniteOperatorError`, whether ``A`` is indefinite or
-    maps a direction to zero.  The new direction block is re-orthonormalized
-    every step (:func:`_direction_block`; Dubrulle, ETNA 12, 2001), which
-    keeps the small Gram systems well conditioned for clustered right-hand
-    sides.  The first block goes through :func:`linalg.qr_economy`, which
-    also rejects a non-finite right-hand side.  Every n-row array is its own
-    contiguous buffer: updates on column views of a shared buffer are
-    strided and several times slower.  Stops at
-    ``||A X - RHS||_F <= cfg.tol * ||RHS||_F``.
+    and inverts L (:func:`linalg._cholesky_factors`), then applies
+    ``L^-* L^-1`` to both step matrices by products: on blocks a few columns
+    wide, a general solve or inverse costs more than the arithmetic.  A
+    failed factorization raises :class:`IndefiniteOperatorError`, whether
+    ``A`` is indefinite or maps a direction to zero.  Each new direction
+    block D is re-orthonormalized (Dubrulle, ETNA 12, 2001), which keeps the
+    small Gram systems well conditioned for clustered right-hand sides, by
+    one pass of :func:`linalg._cholesky_qr`: the step matrices are exact for
+    any full-rank D, so one pass is enough.  Its Gram matrix is a gemm
+    against a copy of D, because numpy sends ``D.T @ D`` on one buffer to
+    OpenBLAS's syrk, two to three times slower on blocks this narrow.  The
+    first block goes through :func:`linalg.qr_economy`, which also rejects a
+    non-finite right-hand side.  Every n-row array is its own contiguous
+    buffer: updates on column views of a shared buffer are strided and
+    several times slower.  Stops at ``||A X - RHS||_F <= cfg.tol * ||RHS||_F``.
     """
     RHS = np.asarray(RHS, dtype=np.float64)
     rhs_norm = np.linalg.norm(RHS)
@@ -104,11 +105,12 @@ def block_cg(A, RHS, cfg, counter):
     for _ in range(cfg.max_iter):
         W = spmm(A, P, counter)
         M = P.T @ W
-        lo_inv = _inverse_cholesky_factor(0.5 * (M + M.T))
-        if lo_inv is None:
+        factors = _cholesky_factors(0.5 * (M + M.T))
+        if factors is None:
             raise IndefiniteOperatorError(
                 "block CG: search-direction Gram matrix is not positive definite"
             )
+        _, lo_inv = factors
         M_inv = lo_inv.T @ lo_inv
         alpha = M_inv @ (P.T @ R)
         X += P @ alpha
@@ -116,25 +118,10 @@ def block_cg(A, RHS, cfg, counter):
         if np.linalg.norm(R) <= cfg.tol * rhs_norm:
             return X
         beta = -M_inv @ (W.T @ R)
-        P = _direction_block(R + P @ beta)
+        D = R + P @ beta
+        P = np.empty_like(D)
+        _cholesky_qr(D, D.T @ D.copy(), P)
     raise NonConvergenceError(f"block CG did not reach {cfg.tol:g} in {cfg.max_iter} iterations")
-
-
-def _direction_block(D):
-    """Columns spanning ``D``'s range, orthonormal to about ``cond(D)^2 u``.
-
-    One Cholesky-QR pass, ``D inv(L)*`` with ``L L* = D* D``: block CG's
-    step matrices are exact for any full-rank direction block, so the pass
-    need not be repeated.  The Gram matrix is a gemm against a copy of
-    ``D``, because numpy sends ``D.T @ D`` on one buffer to OpenBLAS's syrk,
-    two to three times slower on blocks this narrow.  A Householder QR
-    (column signs cancel in ``P @ alpha`` and ``P @ beta``) stands in where
-    the Cholesky factorization fails, as on a rank-deficient block.
-    """
-    lo_inv = _inverse_cholesky_factor(D.T @ D.copy())
-    if lo_inv is None:
-        return np.linalg.qr(D)[0]
-    return D @ lo_inv.T
 
 
 def block_gmres(A, RHS, cfg, counter):

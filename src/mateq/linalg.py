@@ -1,25 +1,26 @@
 """Dense decomposition kernels used throughout the package.
 
-All kernels work on real ``float64`` matrices, reject non-finite input, and
-fix deterministic sign conventions (nonnegative R diagonal in QR, first
-nonzero component of each singular/eigen vector nonnegative) so that repeated
-runs produce bitwise identical factors.  The heavy lifting is delegated to
-LAPACK through numpy; these wrappers only add the contracts.
+All kernels work on real ``float64`` matrices and fix deterministic sign
+conventions (nonnegative R diagonal in QR, first nonzero component of each
+singular/eigen vector nonnegative) so that repeated runs produce bitwise
+identical factors; :func:`qr_economy`, :func:`svd` and :func:`eig_sym` also
+reject non-finite input.  The heavy lifting is delegated to LAPACK; these
+wrappers only add the contracts.
 
 :func:`orthonormalize_block`, the one block Gram-Schmidt step of every Krylov
-basis, factors its block by Cholesky QR: a Gram matrix, its Cholesky factor
-and one product with the factor's inverse, a fraction of a Householder QR's
-cost on blocks a few dozen columns wide.  A Householder QR stands in only
-where the Cholesky factorization fails.
+basis, factors its block by Cholesky QR (:func:`_cholesky_qr`, a pass block
+CG shares): a Gram matrix, its Cholesky factor and one product with the
+factor's inverse, a fraction of a Householder QR's cost on blocks a few
+dozen columns wide.  A Householder QR stands in only where the Cholesky
+factorization fails.
 
-Every product with n rows stays on numpy's BLAS, which is why the kernel's
-inverse factor is applied by ``np.matmul`` rather than by scipy's triangular
-solve: n-row products that mix in scipy's BLAS make two OpenBLAS thread pools
-contend for the cores.  Calls on s x s matrices are exempt.
-:func:`_inverse_cholesky_factor` calls LAPACK's ``potrf`` and ``trtri``
-through scipy, because on matrices a few rows wide numpy's wrappers cost
-several times the arithmetic, and OpenBLAS runs a factorization that small
-on the calling thread alone.
+One helper, :func:`_cholesky_factors`, factors every small SPD matrix with
+LAPACK's ``potrf`` and ``trtri`` through scipy: on matrices a few rows wide
+numpy's wrappers cost several times the arithmetic, and OpenBLAS runs them
+on the calling thread alone.  Every product with n rows stays on numpy's
+BLAS, so the inverse factor is applied by ``np.matmul``, not by scipy's
+triangular solve: n-row products that mix in scipy's BLAS make two OpenBLAS
+thread pools contend for the cores.
 """
 
 import numpy as np
@@ -109,42 +110,36 @@ def qr_economy(M):
     return _qr_reduced_signed(M)
 
 
-def _inverse_cholesky_factor(M):
-    """``inv(L)`` for the lower Cholesky factor L of a small SPD matrix ``M``.
+def _cholesky_factors(M):
+    """``(L, inv(L))`` for the lower Cholesky factor L of a small SPD matrix ``M``.
 
     Reads ``M``'s lower triangle.  Returns ``None`` where the factorization
     fails (LAPACK ``info > 0``: ``M`` is not numerically positive definite);
     callers decide what that means.
     """
+    if not len(M):  # trtri rejects an empty matrix and says so on stdout
+        return M, M
     lo, info = dpotrf(M, lower=1)
     if info > 0:
         return None
-    return dtrtri(lo, lower=1)[0]
+    return lo, dtrtri(lo, lower=1)[0]
 
 
-def _cholesky_qr(W, out, shift=False):
+def _cholesky_qr(W, gram, out):
     """One Cholesky-QR pass: ``out`` becomes ``W @ inv(R)``; returns R.
 
-    R is the transposed Cholesky factor of ``W.T @ W``.  With ``shift`` the
-    Gram matrix's diagonal is raised by ``11 (n s + s (s + 1)) u tr(W.T W)``,
-    u the unit roundoff (Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa,
-    SISC 2020), so the factorization exists for condition numbers up to about
-    ``1 / u``.  Where Cholesky still fails, a Householder QR of ``W`` takes
+    R is the transposed Cholesky factor of ``gram``, the caller's Gram matrix
+    of ``W``.  Where the factorization fails, a Householder QR of ``W`` takes
     its place.
     """
-    n, s = W.shape
-    A = W.T @ W
-    if shift:
-        u = np.finfo(float).eps / 2
-        A.flat[:: s + 1] += 11 * (n * s + s * (s + 1)) * u * np.trace(A)
-    try:
-        R = np.linalg.cholesky(A).T
-    except np.linalg.LinAlgError:
+    factors = _cholesky_factors(gram)
+    if factors is None:
         Q, R = _qr_reduced_signed(W)
         out[...] = Q
         return R
-    np.matmul(W, np.linalg.inv(R), out=out)
-    return R
+    lo, lo_inv = factors
+    np.matmul(W, lo_inv.T, out=out)
+    return lo.T
 
 
 def orthonormalize_block(U, W):
@@ -156,23 +151,30 @@ def orthonormalize_block(U, W):
     project ``W`` against ``U``, factor it by a shifted then a plain
     Cholesky-QR pass, project once more to remove the lean ``G = U.T @ Q``
     that the first projection's roundoff leaves when ``W`` nearly lies in
-    ``span(U)``, and end with one more plain pass.  R is the product of the
-    passes' triangular factors.  A Householder QR stands in for a pass whose
-    Cholesky factorization fails, which happens only beyond condition numbers
-    of about ``1 / u``, near a happy breakdown, or on a rank-deficient block.
-    Besides ``P`` and s x s matrices, the step allocates one scratch block
-    like ``W``; products and passes alternate between the two.  An empty
-    ``W`` (s = 0) gives a k x 0 ``P`` and a 0 x 0 ``R``.
+    ``span(U)``, and end with one more plain pass.  The shift adds
+    ``11 (n s + s (s + 1)) u tr(W.T W)`` to the first Gram matrix's diagonal
+    (u the unit roundoff; Fukaya et al., SISC 2020), so that pass factors
+    blocks with condition numbers up to about ``1 / u``.  R is the product of
+    the passes' triangular factors.  A Householder QR stands in for a pass
+    whose Cholesky factorization fails, which happens only beyond condition
+    numbers of about ``1 / u``, near a happy breakdown, or on a rank-deficient
+    block.  Besides ``P`` and s x s matrices, the step allocates one scratch
+    block like ``W``; products and passes alternate between the two.  An
+    empty ``W`` (s = 0) gives a k x 0 ``P`` and a 0 x 0 ``R``.
     """
+    n, s = W.shape
     buf = np.empty_like(W)
     P = U.T @ W
     W -= np.matmul(U, P, out=buf)
-    R = _cholesky_qr(W, buf, shift=True)
-    R = _cholesky_qr(buf, W) @ R
+    u = np.finfo(float).eps / 2
+    gram = W.T @ W
+    gram.flat[:: s + 1] += 11 * (n * s + s * (s + 1)) * u * np.trace(gram)
+    R = _cholesky_qr(W, gram, buf)
+    R = _cholesky_qr(buf, buf.T @ buf, W) @ R
     G = U.T @ W
     W -= np.matmul(U, G, out=buf)
     P += G @ R  # W_in = U P + Q R still holds
-    R = _cholesky_qr(W, buf) @ R
+    R = _cholesky_qr(W, W.T @ W, buf) @ R
     W[...] = buf
     return P, R
 

@@ -102,8 +102,9 @@ class SolverConfig:
     the solution side), so this side tolerates a much coarser cut; keeping it
     coarse is what stabilizes the residual rank and thereby the per-cycle
     iteration budget.  ``None`` means: follow ``tol_comp`` when that is set
-    explicitly, otherwise ``1e-3 * tol_res`` (a thousand restarts' worth of
-    discarded residual mass still stays below ``tol_res``).
+    explicitly, otherwise ``max(sol, 1e-3 * tol_res)``, ``sol`` the
+    solution-side tolerance (at ``tol_res = 1e-6`` and the default ``k_max``:
+    3.3e-9 for ``||A|| = ||B|| = 1``, 1e-9 for norms of 1e4).
     """
 
     memmax: int

@@ -4,6 +4,7 @@ import pytest
 from mateq import (
     InnerSolverConfig,
     OpCounter,
+    SolverConfig,
     SparseOperator,
     block_cg,
     block_gmres,
@@ -11,10 +12,17 @@ from mateq import (
     eksm_sylv,
     kron_oracle,
     laplacian_2d,
+    restarted_lyap,
+    restarted_sylv,
     sksm_two_pass,
 )
-from mateq import baselines, dense_eq
-from mateq.errors import IndefiniteOperatorError, LossOfOrthogonalityError, MemoryExhaustedError
+from mateq import baselines, dense_eq, linalg
+from mateq.errors import (
+    IndefiniteOperatorError,
+    LossOfOrthogonalityError,
+    MemoryExhaustedError,
+    NonConvergenceError,
+)
 
 from conftest import as_op, rng_for, spd_dense, stable_dense
 
@@ -81,7 +89,8 @@ def test_block_cg_takes_householder_on_rank_deficient_directions(monkeypatch):
 
 
 def test_block_cg_calls_no_numpy_cholesky_or_inverse(monkeypatch):
-    # the s x s factors go through LAPACK potrf/trtri, not numpy's wrappers
+    # the s x s factors go through LAPACK potrf/trtri, not numpy's wrappers,
+    # in block CG and in the Gram-Schmidt kernel under Arnoldi and compression
     calls = []
     for name in ("cholesky", "inv"):
         real = getattr(np.linalg, name)
@@ -97,11 +106,18 @@ def test_block_cg_calls_no_numpy_cholesky_or_inverse(monkeypatch):
     X = block_cg(A, RHS, InnerSolverConfig(tol=1e-8), cnt)
     assert np.linalg.norm(A.apply(X) - RHS) <= 1e-8 * np.linalg.norm(RHS)
     assert cnt.a_calls > 10 and calls == []
+    A = laplacian_2d(12)
+    C, D = rng_for(3).standard_normal((2, A.n, 2)) / 20
+    _, rep = restarted_lyap(A, C, SolverConfig(memmax=36, tol_res=1e-6))
+    assert rep.converged and rep.restarts >= 1 and calls == []
+    _, rep = restarted_sylv(A, A, C, D, SolverConfig(memmax=64, tol_res=1e-6))
+    assert rep.converged and rep.restarts >= 1 and calls == []
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e7])
 def test_direction_block_spans_and_is_orthonormal(cond):
-    # one Cholesky-QR pass: orthonormal to about cond(D)^2 u, same range as D
+    # block CG's direction block: one Cholesky-QR pass on a gemm Gram matrix,
+    # orthonormal to about cond(D)^2 u, same range as D
     rng = rng_for(14)
     n, s = 400, 3
     u = np.finfo(float).eps / 2
@@ -109,7 +125,8 @@ def test_direction_block_spans_and_is_orthonormal(cond):
         Q1, _ = np.linalg.qr(rng.standard_normal((n, s)))
         Q2, _ = np.linalg.qr(rng.standard_normal((s, s)))
         D = 3.0 * (Q1 * np.logspace(0, -np.log10(cond), s)) @ Q2.T
-        P = baselines._direction_block(D)
+        P = np.empty_like(D)
+        linalg._cholesky_qr(D, D.T @ D.copy(), P)
         assert P.shape == D.shape
         kappa = np.linalg.cond(D)
         assert np.linalg.norm(P.T @ P - np.eye(s)) <= s * np.sqrt(n) * kappa ** 2 * u
@@ -145,6 +162,23 @@ def test_block_gmres_rotation_plus_shift():
     X = block_gmres(A, e1, cfg, cnt)
     assert np.linalg.norm(Ad @ X - e1) <= 1e-12
     assert cnt.a_calls <= 3  # two Arnoldi steps plus the restart check
+
+
+def test_block_gmres_rank_deficient_restart_block_raises():
+    b = rng_for(4).standard_normal((400, 1))
+    with pytest.raises(NonConvergenceError, match="deflation unsupported"):
+        block_gmres(laplacian_2d(20), np.hstack([b, b]), InnerSolverConfig(kind="block-gmres"),
+                    OpCounter())
+
+
+@pytest.mark.parametrize("kind", ["block-cg", "block-gmres"])
+def test_inner_solvers_raise_at_max_iter(kind):
+    RHS = rng_for(2).standard_normal((400, 3))
+    cfg = InnerSolverConfig(kind=kind, max_iter=2)
+    cnt = OpCounter()
+    with pytest.raises(NonConvergenceError, match="did not reach"):
+        cfg.solve(laplacian_2d(20), RHS, cnt)
+    assert cnt.a_calls <= 3  # two iterations, plus block GMRES's restart check
 
 
 def test_block_gmres_convdiff():

@@ -133,6 +133,12 @@ def test_compare_rejects_empty_solver_list():
                 "--solvers", ""]) == 1
 
 
+def test_compare_rejects_unknown_solver(capsys):
+    assert run(["compare", "--problem", "laplacian2d", "--n", "8",
+                "--solvers", "restarted-lyap,bogus"]) == 1
+    assert "unknown solver 'bogus'" in capsys.readouterr().err
+
+
 def test_gen_benchmark_scale_file(tmp_path):
     out = str(tmp_path / "A.mtx")
     assert run(["gen", "--problem", "laplacian2d", "--n", "100", "--out", out]) == 0

@@ -120,6 +120,15 @@ def test_compress_sym_rejects_asymmetric_middle():
         SymLowRankFactor(np.ones((4, 2)), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_rank_zero_factors_pass_through():
+    rule = TruncationRule(1e-8)
+    pair = LowRankFactorPair(np.zeros((5, 0)), np.zeros((5, 0)))
+    assert compress(pair, rule) is pair
+    fac = SymLowRankFactor(np.zeros((5, 0)), np.zeros((0, 0)))
+    assert compress_sym(fac, rule) is fac
+    assert psd_project(fac) is fac
+
+
 def test_psd_project_sign_split():
     fac = SymLowRankFactor(np.eye(2), np.diag([1.0, -1.0]))
     out = psd_project(fac)

@@ -83,6 +83,11 @@ def test_sylvester_shape_check():
         solve_sylvester_dense(np.eye(2), np.eye(2), np.ones((3, 2)))
 
 
+def test_lyapunov_shape_check():
+    with pytest.raises(DimensionMismatchError):
+        solve_lyapunov_ldlt(-np.eye(3), np.ones((2, 1)), np.eye(1))
+
+
 def test_lyapunov_scalar():
     Y = solve_lyapunov_ldlt(np.array([[-1.0]]), np.array([[1.0]]), np.array([[2.0]]))
     assert np.allclose(Y, [[1.0]])

@@ -300,6 +300,16 @@ def test_default_tolerance_rule_satisfies_budget_inequality():
     assert (cfg.k_max + 1) * (na + na + 1) * rep.tol_comp <= cfg.tol_res * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("norm, tol_res_fac", [(1.0, 1e-6 / (101 * 3)), (1e4, 1e-9)])
+def test_default_residual_tolerance_is_the_coarser_rule(norm, tol_res_fac):
+    # tol_comp_res=None takes max(solution-side tol, 1e-3 * tol_res)
+    cfg = SolverConfig(memmax=40, tol_res=1e-6)
+    sol, res = cfg.resolved_tolerances(norm, norm)
+    assert sol == pytest.approx(1e-6 / (101 * (2 * norm + 1)))
+    assert res == pytest.approx(tol_res_fac)
+    assert SolverConfig(memmax=40, tol_comp=1e-11).resolved_tolerances(norm, norm) == (1e-11, 1e-11)
+
+
 def test_negative_definite_coefficients_match_oracle():
     # stable coefficients on the other side of the axis: A = -(M M^T/n + I)
     rng = rng_for(13)
