@@ -8,11 +8,12 @@ boundary block coupling the last kept block to the next one, so that
 
 holds to working precision.  Each step orthonormalizes A's image of the
 newest block in place, in one preallocated Fortran-ordered basis, with
-:func:`linalg.orthonormalize_block` (project, Cholesky QR, project once more,
-a last Cholesky-QR pass; Householder QR only where Cholesky fails).  The
-basis stays orthonormal to roundoff even when the image falls nearly inside
-it: the tests hold ``||E.T E - I||_F <= 1e-12`` for the extended basis E in
-that case.
+:func:`linalg.orthonormalize_block` (project, two Cholesky-QR passes, project
+once more, and a third pass only where that projection removed more than a
+negligible lean or the block was ill-conditioned; Householder QR only where
+Cholesky fails).  The basis stays orthonormal to roundoff even when the
+image falls nearly inside it: the tests hold ``||E.T E - I||_F <= 1e-12``
+for the extended basis E in that case.
 
 Rank deficiency of the incoming block is not deflated: a deficient starting
 block raises, and a deficient extension is a happy breakdown, reported only

@@ -15,11 +15,13 @@ matrix.  Only ``Z`` is orthogonalized, by the package's one block
 Gram-Schmidt step :func:`linalg.orthonormalize_block`, whose Cholesky-QR
 passes factor only ``Z``'s columns.  The SVD or eigendecomposition then runs
 on a core as wide as the factor, and the output ``[Q, Q2] @ (small)`` is
-formed by matrix products; it is as orthonormal as ``Q`` is.  A plain array
-factor is the special case with an empty ``Q``.  The restarted drivers use
-this for their residual factors, which lie in the Arnoldi basis (no tall QR
-at all), and for their solution updates, whose previous factors are
-orthonormal.
+formed by matrix products; it is as orthonormal as ``Q`` is.  The product
+with ``Q`` is the output itself, and the product with ``Q2`` is added into it
+a few n-columns of rows at a time, so the output is the only output-sized
+block compression holds.  A plain array factor is the special case with an
+empty ``Q``.  The restarted drivers use this for their residual factors,
+which lie in the Arnoldi basis (no tall QR at all), and for their solution
+updates, whose previous factors are orthonormal.
 
 Truncation rules: under the ``spectral`` rule every discarded singular value
 (eigenvalue magnitude) is below the tolerance; under the ``frobenius`` rule
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _qr_reduced_signed, check_symmetric, eig_sym, orthonormalize_block, svd
+from .residuals import _SLICE_COLUMNS
 
 __all__ = ["TruncationRule", "LowRankFactorPair", "SymLowRankFactor", "BasisFactor",
            "compress", "compress_sym", "psd_project"]
@@ -160,13 +163,21 @@ def _orthonormalize(f):
 
 
 def _combine(Q, Q2, W):
-    """``[Q, Q2] @ W`` without forming ``[Q, Q2]``."""
+    """``[Q, Q2] @ W`` without forming ``[Q, Q2]`` or a second output-sized block.
+
+    ``Q @ W[:q]`` is the output; ``Q2 @ W[q:]`` is added into it one row
+    slice at a time, each slice about ``residuals._SLICE_COLUMNS`` n-columns.
+    """
     q = Q.shape[1]
     if q == 0:
         return Q2 @ W
     out = Q @ W[:q]
     if Q2.shape[1]:
-        out += Q2 @ W[q:]
+        n, w = out.shape
+        height = -(-_SLICE_COLUMNS * n // max(w, 1))
+        for start in range(0, n, height):
+            rows = slice(start, start + height)
+            out[rows] += Q2[rows] @ W[q:]
     return out
 
 

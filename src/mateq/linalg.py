@@ -11,7 +11,10 @@ wrappers only add the contracts.
 basis, factors its block by Cholesky QR (:func:`_cholesky_qr`, a pass block
 CG shares): a Gram matrix, its Cholesky factor and one product with the
 factor's inverse, a fraction of a Householder QR's cost on blocks a few
-dozen columns wide.  A Householder QR stands in only where the Cholesky
+dozen columns wide.  Two passes and two projections make the block
+orthonormal; a third pass runs only when the second projection removed
+more than a negligible lean or the second pass's factor is far from the
+identity.  A Householder QR stands in only where the Cholesky
 factorization fails.
 
 One helper, :func:`_cholesky_factors`, factors every small SPD matrix with
@@ -151,7 +154,14 @@ def orthonormalize_block(U, W):
     project ``W`` against ``U``, factor it by a shifted then a plain
     Cholesky-QR pass, project once more to remove the lean ``G = U.T @ Q``
     that the first projection's roundoff leaves when ``W`` nearly lies in
-    ``span(U)``, and end with one more plain pass.  The shift adds
+    ``span(U)``, and end with one more plain pass only where that can change
+    more than roundoff.  After the second projection ``W`` holds
+    ``Q - U G``, whose Gram matrix is ``I - G.T G`` to roundoff when ``Q`` is
+    orthonormal, so the last pass is skipped when ``||G||_F <= 1e-8`` and the
+    second pass's factor ``R2`` has ``||R2 - I||_F <= 1e-4``.  ``||G||``
+    alone does not suffice: after the shifted pass on an ill-conditioned
+    block ``Q`` itself can be far from orthonormal, and ``R2`` far from I
+    says so.  The shift adds
     ``11 (n s + s (s + 1)) u tr(W.T W)`` to the first Gram matrix's diagonal
     (u the unit roundoff; Fukaya et al., SISC 2020), so that pass factors
     blocks with condition numbers up to about ``1 / u``.  R is the product of
@@ -170,12 +180,14 @@ def orthonormalize_block(U, W):
     gram = W.T @ W
     gram.flat[:: s + 1] += 11 * (n * s + s * (s + 1)) * u * np.trace(gram)
     R = _cholesky_qr(W, gram, buf)
-    R = _cholesky_qr(buf, buf.T @ buf, W) @ R
+    R2 = _cholesky_qr(buf, buf.T @ buf, W)
+    R = R2 @ R
     G = U.T @ W
     W -= np.matmul(U, G, out=buf)
     P += G @ R  # W_in = U P + Q R still holds
-    R = _cholesky_qr(W, W.T @ W, buf) @ R
-    W[...] = buf
+    if np.linalg.norm(G) > 1e-8 or np.linalg.norm(R2 - np.eye(s)) > 1e-4:
+        R = _cholesky_qr(W, W.T @ W, buf) @ R
+        W[...] = buf
     return P, R
 
 

@@ -193,26 +193,26 @@ def _assert_orthonormalized(U, W0, W, P, R):
     assert np.array_equal(R, np.triu(R)) and np.all(np.diagonal(R) >= 0)
 
 
-@pytest.mark.parametrize("delta", [1.0, 1e-9, 1e-12])
-def test_orthonormalize_block_against_basis(delta):
-    # W = U M + delta N: a small delta leaves the projected block leaning on
-    # U far above roundoff, and only the second projection removes the lean
+def _leaning_block(delta):
+    """``(U, W)`` with ``W = U M + delta N``, N of full rank, U 300 x 40 and W 300 x 5.
+
+    A small delta leaves the projected block leaning on U far above roundoff,
+    and only the second projection removes the lean.
+    """
     rng = rng_for(12)
     n, k, s = 300, 40, 5
     U, _ = np.linalg.qr(rng.standard_normal((n, k)))
     U = np.asfortranarray(U)
-    W0 = U @ rng.standard_normal((k, s)) + delta * rng.standard_normal((n, s))
-    W = np.array(W0, order="F")
-    P, R = orthonormalize_block(U, W)
-    _assert_orthonormalized(U, W0, W, P, R)
+    return U, U @ rng.standard_normal((k, s)) + delta * rng.standard_normal((n, s))
 
 
-@pytest.mark.parametrize("s", [1, 3, 18])
-@pytest.mark.parametrize("kappa", [1.0, 1e7, 1e12, np.inf])
-def test_orthonormalize_block_condition_sweep(monkeypatch, kappa, s):
-    # W = U M + N, where N lies outside span(U) with singular values spread
-    # geometrically down to 1 / kappa (for s = 1 its one value is 1 / kappa);
-    # kappa = inf zeroes W's last column, an exactly rank-deficient block
+def _swept_block(kappa, s, in_span=True):
+    """``(U, W)`` with ``W = U M + N`` (or N alone), U 300 x 40 and W 300 x s.
+
+    N lies outside span(U) with singular values spread geometrically down to
+    1 / kappa (for s = 1 its one value is 1 / kappa); kappa = inf zeroes W's
+    last column, an exactly rank-deficient block.
+    """
     rng = rng_for(40)
     n, k = 300, 40
     U, _ = np.linalg.qr(rng.standard_normal((n, k)))
@@ -220,31 +220,69 @@ def test_orthonormalize_block_condition_sweep(monkeypatch, kappa, s):
     X, _ = np.linalg.qr(rng.standard_normal((n, s)))
     Y, _ = np.linalg.qr(rng.standard_normal((s, s)))
     N = ((X - U @ (U.T @ X)) * np.geomspace(1.0, 1.0 / min(kappa, 1e12), s + 1)[1:]) @ Y.T
-    W0 = U @ rng.standard_normal((k, s)) + N
+    W0 = U @ rng.standard_normal((k, s)) + N if in_span else N
     if kappa == np.inf:
         W0[:, -1] = 0.0
+    return U, W0
 
-    cholesky, householder = linalg._cholesky_factors, linalg._qr_reduced_signed
-    counts = {"cholesky_failed": 0, "householder": 0}
+
+def _factorizations(monkeypatch, U, W0):
+    """Orthonormalize ``W0`` against ``U`` and check the result.
+
+    Returns the number of Cholesky factorizations the step ran and how many
+    of them failed.
+    """
+    cholesky = linalg._cholesky_factors
+    counts = {"calls": 0, "failed": 0}
 
     def counted_cholesky(A):
         factors = cholesky(A)
-        counts["cholesky_failed"] += factors is None
+        counts["calls"] += 1
+        counts["failed"] += factors is None
         return factors
+
+    monkeypatch.setattr(linalg, "_cholesky_factors", counted_cholesky)
+    W = np.array(W0, order="F")
+    P, R = orthonormalize_block(U, W)
+    _assert_orthonormalized(U, W0, W, P, R)
+    return counts["calls"], counts["failed"]
+
+
+@pytest.mark.parametrize("delta", [1.0, 1e-9, 1e-12])
+def test_orthonormalize_block_against_basis(monkeypatch, delta):
+    # only a block leaning on U keeps a lean after the second projection
+    # that the third Cholesky-QR pass must remove
+    calls, _ = _factorizations(monkeypatch, *_leaning_block(delta))
+    assert calls == (2 if delta == 1.0 else 3)
+
+
+@pytest.mark.parametrize("s", [1, 3, 18])
+@pytest.mark.parametrize("kappa", [1.0, 1e7, 1e12, np.inf])
+def test_orthonormalize_block_condition_sweep(monkeypatch, kappa, s):
+    householder = linalg._qr_reduced_signed
+    counts = {"householder": 0}
 
     def counted_householder(M):
         counts["householder"] += 1
         return householder(M)
 
-    monkeypatch.setattr(linalg, "_cholesky_factors", counted_cholesky)
     monkeypatch.setattr(linalg, "_qr_reduced_signed", counted_householder)
-    W = np.array(W0, order="F")
-    P, R = orthonormalize_block(U, W)
-    _assert_orthonormalized(U, W0, W, P, R)
-    assert counts["householder"] == counts["cholesky_failed"]
+    calls, failed = _factorizations(monkeypatch, *_swept_block(kappa, s))
+    assert counts["householder"] == failed
     # the shift keeps Cholesky alive on these full-rank blocks; the zero
     # column leaves one pass a singular Gram matrix
     assert counts["householder"] == (1 if kappa == np.inf else 0)
+    # a well-conditioned block needs no third pass; an ill-conditioned one does
+    assert calls == (2 if kappa == 1.0 else 3)
+
+
+def test_orthonormalize_block_last_pass_when_second_factor_is_far_from_identity(monkeypatch):
+    # outside span(U) the second projection removes almost nothing (||G|| is
+    # about 3e-9), but after the shifted pass on a block with kappa = 1e12 the
+    # second pass's factor is far from I; skipping the third pass there would
+    # leave ||E.T E - I||_F at about 9e-14, against 4e-15 with it
+    calls, _ = _factorizations(monkeypatch, *_swept_block(1e12, 3, in_span=False))
+    assert calls == 3
 
 
 @pytest.mark.parametrize("n, k, s", [(50, 7, 0), (50, 0, 4), (50, 0, 0)])

@@ -7,11 +7,12 @@ README ("Memory") states the bound
 for the ``tracemalloc`` peak of one solve: operator bytes are the CSR arrays
 of the coefficients, solution columns the widest solution factors (both
 factors for Sylvester), and ``s_max`` the widest right-hand side or restart
-residual.  The measured ``c`` is about 3 to 5; the check allows 8.
+residual.  The measured ``c`` is about 1 to 3; the check allows 8.
 ``eksm_lyap`` is held to the same bound with ``2 max_dim`` in place of
 ``memmax``, for its preallocated basis and operator images.  The
 block Gram-Schmidt step that every Krylov basis grows by is held to one
-scratch block of its own size.
+scratch block of its own size, and compression to its output plus one row
+slice of a product.
 """
 
 import tracemalloc
@@ -27,7 +28,9 @@ from mateq import (
     restarted_lyap,
     restarted_sylv,
 )
+from mateq.compression import BasisFactor, TruncationRule, compress, compress_sym
 from mateq.linalg import orthonormalize_block
+from mateq.residuals import _SLICE_COLUMNS
 
 from conftest import rng_for
 
@@ -110,3 +113,36 @@ def test_orthonormalize_block_holds_one_scratch_block(delta):
     W = np.asfortranarray(U @ rng.standard_normal((k, s)) + delta * rng.standard_normal((n, s)))
     _, peak = _traced_peak(lambda: orthonormalize_block(U, W))
     assert peak <= 8 * (n * s + 2 * k * s + 10 * s * s), f"{peak / (8 * n * s):.2f} n x s blocks"
+
+
+@pytest.mark.parametrize("sym", [True, False], ids=["compress_sym", "compress"])
+def test_compression_holds_one_output_sized_block(sym):
+    # factors shaped like a lyap-lap2d solution update: an orthonormal old
+    # solution Q (45 columns) and new columns Z (27).  Beyond its inputs and
+    # outputs, compression may hold one row slice of the Q2 product
+    # (_SLICE_COLUMNS n-columns), small (q + z)-square matrices and, for
+    # compress_sym, SymLowRankFactor's n x w boolean finiteness mask; a whole
+    # Q2 @ W temporary would add another output's worth
+    rng = rng_for(8)
+    n, q, z = 6400, 45, 27
+
+    def factor():
+        Q, _ = np.linalg.qr(rng.standard_normal((n, q)))
+        Z = np.asfortranarray(rng.standard_normal((n, z)))
+        return BasisFactor(np.asfortranarray(Q), Z, np.eye(q + z))
+
+    rule = TruncationRule(1e-12)
+    if sym:
+        fac = (factor(), np.diag(np.geomspace(1.0, 1e-6, q + z)))
+        out, peak = _traced_peak(lambda: compress_sym(fac, rule))
+        widths, mask = out.rank, n * out.rank
+    else:
+        pair = (factor(), factor())
+        (U, _, V), peak = _traced_peak(lambda: compress(pair, rule))
+        widths, mask = U.shape[1] + V.shape[1], 0
+    assert widths >= q + z
+    budget = 8 * n * (widths + _SLICE_COLUMNS) + mask + 8 * 12 * (q + z) ** 2
+    assert peak <= budget, (
+        f"peak {peak / (8 * n) - widths:.1f} n-columns beyond the outputs, "
+        f"budget {budget / (8 * n) - widths:.1f}"
+    )
