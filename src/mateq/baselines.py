@@ -44,8 +44,8 @@ from .errors import (
     RankDeficientBlockError,
 )
 from .linalg import _cholesky_factors, _cholesky_qr, orthonormalize_block, qr_economy
-from .restarted import SolveReport, _as_block, _factor_pair, _product_norm
-from .residuals import _SLICE_COLUMNS, residual_norm_lyap, true_residual_lyap, true_residual_sylv
+from .restarted import _as_blocks, _factor_pair, _new_report
+from .residuals import _row_slices, residual_norm_lyap, true_residual_lyap, true_residual_sylv
 from .sparse import OpCounter, estimate_norm2, spmm
 
 __all__ = ["InnerSolverConfig", "block_cg", "block_gmres", "eksm_lyap", "eksm_sylv",
@@ -229,14 +229,11 @@ class _ExtendedBasis:
     def residual_norm(self, Y):
         """``||F Y||_F`` with F the out-of-space part ``A U - U T`` of the cached images.
 
-        Accumulated over row slices of about ``residuals._SLICE_COLUMNS``
-        n-columns, so that neither ``U T`` nor F is ever formed whole.
+        Accumulated over row slices (:func:`residuals._row_slices`), so
+        that neither ``U T`` nor F is ever formed whole.
         """
-        n, dim = self.U.shape
-        height = -(-_SLICE_COLUMNS * n // dim)
         total = 0.0
-        for start in range(0, n, height):
-            rows = slice(start, start + height)
+        for rows in _row_slices(*self.U.shape):
             F = self.U[rows] @ self.T
             np.subtract(self.AU[rows], F, out=F)
             total += np.linalg.norm(F @ Y) ** 2
@@ -272,15 +269,13 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
     Raises :class:`MemoryExhaustedError` when the basis would outgrow
     ``max_dim`` before the residual tolerance is met.
     """
-    C = _as_block(C)
+    C, _ = _as_blocks(A, A, C, C)
     t0 = time.perf_counter()
     counter = OpCounter()
     s = C.shape[1]
-    report = SolveReport(
-        solver=f"eksm-{inner.kind.split('-')[1]}", n=A.n, s=s, norm="frobenius",
-        tol_res=tol_res, tol_comp=None, memmax=max_dim, k_max=None,
-        rhs_norm=_product_norm(C, C, "frobenius"),
-    )
+    norm_a = estimate_norm2(A)
+    report = _new_report(f"eksm-{inner.kind.split('-')[1]}", C, C, norm_a, norm_a,
+                         tol_res, memmax=max_dim)
     basis = _ExtendedBasis(A, C, inner, counter, max_dim)
     outer = 0
     while True:
@@ -293,8 +288,6 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
             break
         basis.extend()
         outer += 1
-    norm_a = estimate_norm2(A)
-    report.norm_estimate_a = report.norm_estimate_b = norm_a
     fac = _finish_sym(basis.U, Y, _solution_cut(tol_res, norm_a, norm_a))
     report.iterations = outer
     report.basis_dim = report.peak_live_columns = basis.dim
@@ -311,15 +304,12 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
     independent counters for the two operators; ``inner`` serves the inner
     solves of both.
     """
-    C = _as_block(C)
-    D = _as_block(D)
+    C, D = _as_blocks(A, B, C, D)
     t0 = time.perf_counter()
     cnt_a, cnt_b = OpCounter(), OpCounter()
-    report = SolveReport(
-        solver=f"eksm-{inner.kind.split('-')[1]}", n=A.n, s=C.shape[1], norm="frobenius",
-        tol_res=tol_res, tol_comp=None, memmax=max_dim, k_max=None,
-        rhs_norm=_product_norm(C, D, "frobenius"),
-    )
+    norm_a, norm_b = estimate_norm2(A), estimate_norm2(B)
+    report = _new_report(f"eksm-{inner.kind.split('-')[1]}", C, D, norm_a, norm_b,
+                         tol_res, memmax=max_dim)
     Bt = B.transpose()
     ba = _ExtendedBasis(A, C, inner, cnt_a, max_dim)
     bb = _ExtendedBasis(Bt, D, inner, cnt_b, max_dim)
@@ -334,9 +324,7 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
         ba.extend()
         bb.extend()
         outer += 1
-    report.norm_estimate_a, report.norm_estimate_b = estimate_norm2(A), estimate_norm2(B)
-    cut = _solution_cut(tol_res, report.norm_estimate_a, report.norm_estimate_b)
-    YL, YR = _factor_pair(Y, TruncationRule(cut, "spectral"))
+    YL, YR = _factor_pair(Y, TruncationRule(_solution_cut(tol_res, norm_a, norm_b), "spectral"))
     fac = LowRankFactorPair(ba.U @ YL, bb.U @ YR)
     report.iterations = outer
     report.basis_dim = ba.dim
@@ -372,14 +360,12 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
         raise ValueError("two-pass Lanczos requires a symmetric operator")
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
-    C = _as_block(C)
+    C, _ = _as_blocks(A, A, C, C)
     t0 = time.perf_counter()
     counter = OpCounter()
     n, s = C.shape
-    report = SolveReport(
-        solver="sksm-two-pass", n=n, s=s, norm="frobenius", tol_res=tol_res,
-        tol_comp=None, memmax=None, k_max=None, rhs_norm=_product_norm(C, C, "frobenius"),
-    )
+    norm_a = estimate_norm2(A)
+    report = _new_report("sksm-two-pass", C, C, norm_a, norm_a, tol_res)
 
     def lanczos_step(U_prev, U_cur, beta_prev):
         W = spmm(A, U_cur, counter)
@@ -419,8 +405,6 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
     proj = H = Hbuf = None
     report.iterations = m
 
-    norm_a = estimate_norm2(A)
-    report.norm_estimate_a = report.norm_estimate_b = norm_a
     rule = TruncationRule(_solution_cut(tol_res, norm_a, norm_a), "spectral")
     WY, lam = _eig_by_magnitude(Y, rule)
     XL = np.zeros((n, WY.shape[1]))

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _qr_reduced_signed, check_symmetric, eig_sym, orthonormalize_block, svd
-from .residuals import _SLICE_COLUMNS
+from .linalg import (_all_finite, _qr_reduced_signed, check_symmetric, eig_sym,
+                     orthonormalize_block, svd)
+from .residuals import _row_slices
 
 __all__ = ["TruncationRule", "LowRankFactorPair", "SymLowRankFactor", "BasisFactor",
            "compress", "compress_sym", "psd_project"]
@@ -67,7 +68,7 @@ class LowRankFactorPair:
         D = np.asarray(self.D, dtype=np.float64)
         if C.ndim != 2 or D.ndim != 2 or C.shape[1] != D.shape[1]:
             raise ValueError(f"factors must share a column count, got {C.shape} and {D.shape}")
-        if (C.size and not np.isfinite(C).all()) or (D.size and not np.isfinite(D).all()):
+        if not (_all_finite(C) and _all_finite(D)):
             raise ValueError("factors contain non-finite entries")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", D)
@@ -93,7 +94,7 @@ class SymLowRankFactor:
         p = C.shape[1] if C.ndim == 2 else -1
         if C.ndim != 2 or S.shape != (p, p):
             raise ValueError(f"factor is {C.shape}, middle must be ({p}, {p}), got {S.shape}")
-        if (C.size and not np.isfinite(C).all()) or (S.size and not np.isfinite(S).all()):
+        if not (_all_finite(C) and _all_finite(S)):
             raise ValueError("factors contain non-finite entries")
         check_symmetric(S, "S")
         object.__setattr__(self, "C", C)
@@ -166,17 +167,14 @@ def _combine(Q, Q2, W):
     """``[Q, Q2] @ W`` without forming ``[Q, Q2]`` or a second output-sized block.
 
     ``Q @ W[:q]`` is the output; ``Q2 @ W[q:]`` is added into it one row
-    slice at a time, each slice about ``residuals._SLICE_COLUMNS`` n-columns.
+    slice (:func:`residuals._row_slices`) at a time.
     """
     q = Q.shape[1]
     if q == 0:
         return Q2 @ W
     out = Q @ W[:q]
     if Q2.shape[1]:
-        n, w = out.shape
-        height = -(-_SLICE_COLUMNS * n // max(w, 1))
-        for start in range(0, n, height):
-            rows = slice(start, start + height)
+        for rows in _row_slices(*out.shape):
             out[rows] += Q2[rows] @ W[q:]
     return out
 

@@ -26,6 +26,8 @@ triangular solve: n-row products that mix in scipy's BLAS make two OpenBLAS
 thread pools contend for the cores.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
@@ -34,11 +36,21 @@ from .errors import DimensionMismatchError, NonConvergenceError
 __all__ = ["qr_economy", "orthonormalize_block", "svd", "eig_sym", "check_symmetric"]
 
 
+def _all_finite(M):
+    """Whether ``M`` is all finite, without an entry-sized mask.
+
+    A non-finite entry makes the sum non-finite; only when finite entries
+    overflow it (with a numpy warning) do min and max decide, which NaN
+    reaches too.  One reduction costs less than ``isfinite(M).all()``.
+    """
+    return math.isfinite(M.sum()) or (math.isfinite(M.min()) and math.isfinite(M.max()))
+
+
 def _as_matrix(M, name="matrix"):
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-dimensional, got shape {M.shape}")
-    if M.size and not np.isfinite(M).all():
+    if not _all_finite(M):
         raise ValueError(f"{name} contains non-finite entries")
     return M
 

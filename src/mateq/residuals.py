@@ -77,6 +77,13 @@ def residual_norm_lyap(H_boundary, Y, norm="frobenius"):
     return _norm(low, norm)
 
 
+def _row_slices(n, width, min_height=1):
+    """Slices of an n x ``width`` block's rows, about ``_SLICE_COLUMNS`` n-columns each."""
+    height = max(-(-_SLICE_COLUMNS * n // max(width, 1)), min_height, 1)
+    for start in range(0, n, height):
+        yield slice(start, start + height)
+
+
 def _stacked_r(n, width, rows_of):
     """R factor of the n x ``width`` matrix whose row slices ``rows_of(rows)`` returns.
 
@@ -88,10 +95,9 @@ def _stacked_r(n, width, rows_of):
     more QR of the running R per slice) costs the same but was several times
     less accurate on the benchmark's Lyapunov residuals.
     """
-    height = max(-(-_SLICE_COLUMNS * n // max(width, 1)), _SLICE_ASPECT * width, 1)
     pending = []  # (R, level) with strictly decreasing levels
-    for start in range(0, n, height):
-        R, level = np.linalg.qr(rows_of(slice(start, start + height)), mode="r"), 0
+    for rows in _row_slices(n, width, _SLICE_ASPECT * width):
+        R, level = np.linalg.qr(rows_of(rows), mode="r"), 0
         while pending and pending[-1][1] == level:
             R = np.linalg.qr(np.vstack([pending.pop()[0], R]), mode="r")
             level += 1

@@ -58,7 +58,7 @@ from .compression import (
 )
 # solve_lyapunov_ldlt is not called here; bench/spans.py traces it under this module's name
 from .dense_eq import ProjectedLyapunov, solve_lyapunov_ldlt, solve_sylvester_dense  # noqa: F401
-from .errors import MemoryBudgetError
+from .errors import DimensionMismatchError, MemoryBudgetError
 from .linalg import svd
 from .residuals import (
     _norm,
@@ -80,9 +80,8 @@ __all__ = [
     "eval_error_bound_normal",
 ]
 
-_NORM_EST_ITERS = 20
-_NORM_EST_SEED = 42
-_NORM_EST_METHOD = f"power-iteration({_NORM_EST_ITERS} iters, seed {_NORM_EST_SEED})"
+# every solver estimates its coefficients' norms with estimate_norm2's defaults
+_NORM_EST_METHOD = "power-iteration({} iters, seed {})".format(*estimate_norm2.__defaults__)
 _VERIFY_MAX_N = 2000
 
 
@@ -161,9 +160,9 @@ class SolveReport:
     s: int
     norm: str
     tol_res: float
-    tol_comp: float | None
-    memmax: int | None
-    k_max: int | None
+    tol_comp: float | None = None
+    memmax: int | None = None
+    k_max: int | None = None
     tol_comp_res: float | None = None
     converged: bool = False
     iterations: int = 0
@@ -231,6 +230,16 @@ def _as_block(V):
     return V
 
 
+def _as_blocks(A, B, C, D):
+    """``C`` and ``D`` as n x s blocks for the n x n coefficients ``A`` and ``B``."""
+    C, D = _as_block(C), _as_block(D)
+    n, s = C.shape
+    if A.n != n or B.n != n or D.shape != (n, s):
+        raise DimensionMismatchError("coefficient/right-hand-side dimensions disagree: "
+                                     f"A {A.n}, B {B.n}, C {C.shape}, D {D.shape}")
+    return C, D
+
+
 def eval_residual_bound(tol_res, k_bar, tol_comp, norm_a, norm_b):
     """Attainable residual level after k_bar restarts with compression."""
     if min(tol_res, k_bar, tol_comp, norm_a, norm_b) < 0:
@@ -248,13 +257,6 @@ def eval_error_bound_normal(tol_res, k_bar, tol_comp, re_lambda_a1, re_lambda_b1
 
 def _default_tol_comp(tol_res, k_max, norm_a, norm_b):
     return tol_res / ((k_max + 1) * (norm_a + norm_b + 1))
-
-
-def _product_norm(C, D, norm):
-    """||C @ D.T|| without forming the product."""
-    Rc = np.linalg.qr(C, mode="r")  # the norm does not see R's row signs
-    Rd = np.linalg.qr(D, mode="r")
-    return _norm(Rc @ Rd.T, norm)
 
 
 def _open_cycle(report, sk, mk):
@@ -286,15 +288,26 @@ def _close_run(report, peak):
     )
 
 
-def _new_report(solver, C, D, config, norm_a, norm_b, verify):
-    """Report for one restarted solve of right-hand side C D*, with its resolved tolerances."""
-    tol_sol, tol_res_fac = config.resolved_tolerances(norm_a, norm_b)
-    report = SolveReport(
-        solver=solver, n=C.shape[0], s=C.shape[1], norm=config.norm, tol_res=config.tol_res,
-        tol_comp=tol_sol, tol_comp_res=tol_res_fac, memmax=config.memmax,
-        k_max=config.k_max, norm_estimate_a=norm_a, norm_estimate_b=norm_b,
-        rhs_norm=_product_norm(C, D, config.norm),
-    )
+def _new_report(solver, C, D, norm_a, norm_b, tol_res=None, memmax=None, config=None,
+                verify=False):
+    """Open every solver's report for right-hand side C D* and estimates of ``||A||``, ``||B||``.
+
+    A restarted solver passes its ``config``, validated here, which also sets
+    ``k_max`` and the compression tolerances; a baseline passes ``tol_res``
+    and its basis budget.  ``||C D*||`` is taken without forming the product.
+    """
+    n, s = C.shape
+    if verify and n > _VERIFY_MAX_N:
+        raise ValueError(f"verify mode forms dense residuals; n is limited to {_VERIFY_MAX_N}")
+    report = SolveReport(solver=solver, n=n, s=s, norm="frobenius", tol_res=tol_res,
+                         memmax=memmax, norm_estimate_a=norm_a, norm_estimate_b=norm_b)
+    if config is not None:
+        config.validate(s)
+        report.norm, report.tol_res = config.norm, config.tol_res
+        report.memmax, report.k_max = config.memmax, config.k_max
+        report.tol_comp, report.tol_comp_res = config.resolved_tolerances(norm_a, norm_b)
+    Rc, Rd = (np.linalg.qr(M, mode="r") for M in (C, D))  # the norm does not see R's row signs
+    report.rhs_norm = _norm(Rc @ Rd.T, report.norm)
     if verify:
         report.explicit_history = []
         report.cycle_explicit_residuals = []
@@ -341,20 +354,13 @@ def restarted_sylv(A, B, C, D, config, verify=False):
     only) the dense residual is formed at every inner iteration and at every
     cycle boundary and stored alongside the cheap values.
     """
-    C = _as_block(C)
-    D = _as_block(D)
-    n, s = C.shape
-    if A.n != n or B.n != n or D.shape != (n, s):
-        raise ValueError("coefficient/right-hand-side dimensions disagree")
-    config.validate(s)
-    if verify and n > _VERIFY_MAX_N:
-        raise ValueError(f"verify mode forms dense residuals; n is limited to {_VERIFY_MAX_N}")
+    C, D = _as_blocks(A, B, C, D)
+    n = C.shape[0]
     t0 = time.perf_counter()
     Bt = B.transpose()
     cnt_a, cnt_b = OpCounter(), OpCounter()
-    norm_a = estimate_norm2(A, _NORM_EST_ITERS, _NORM_EST_SEED)
-    norm_b = estimate_norm2(B, _NORM_EST_ITERS, _NORM_EST_SEED)
-    report = _new_report("restarted-sylv", C, D, config, norm_a, norm_b, verify)
+    norm_a, norm_b = estimate_norm2(A), estimate_norm2(B)
+    report = _new_report("restarted-sylv", C, D, norm_a, norm_b, config=config, verify=verify)
     rule_sol = TruncationRule(report.tol_comp, config.norm)
     rule_res = TruncationRule(report.tol_comp_res, config.norm)
 
@@ -447,17 +453,12 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
     negative eigenvalue part of the final solution; the factor's orthonormal
     columns and diagonal middle make that a column selection.
     """
-    C = _as_block(C)
+    C, _ = _as_blocks(A, A, C, C)
     n, s = C.shape
-    if A.n != n:
-        raise ValueError("coefficient/right-hand-side dimensions disagree")
-    config.validate(s)
-    if verify and n > _VERIFY_MAX_N:
-        raise ValueError(f"verify mode forms dense residuals; n is limited to {_VERIFY_MAX_N}")
     t0 = time.perf_counter()
     cnt_a = OpCounter()
-    norm_a = estimate_norm2(A, _NORM_EST_ITERS, _NORM_EST_SEED)
-    report = _new_report("restarted-lyap", C, C, config, norm_a, norm_a, verify)
+    norm_a = estimate_norm2(A)
+    report = _new_report("restarted-lyap", C, C, norm_a, norm_a, config=config, verify=verify)
     rule_sol = TruncationRule(report.tol_comp, config.norm)
     rule_res = TruncationRule(report.tol_comp_res, config.norm)
     report.min_eigenvalues = []

@@ -56,21 +56,13 @@ class SparseOperator:
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
         data = np.asarray(data, dtype=np.float64)
-        if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != data.shape[0]:
+        # scipy would prune entries beyond indptr[-1] without a word
+        if indptr.shape != (n + 1,) or indptr[-1] != data.shape[0]:
             raise ValueError("malformed CSR row pointers")
-        row_len = np.diff(indptr)
-        if np.any(row_len < 0):
-            raise ValueError("CSR row pointers must be nondecreasing")
-        if indices.shape != data.shape:
-            raise ValueError("CSR indices/data length mismatch")
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise ValueError("column indices must lie in [0, n)")
-        # (row, column) pairs in row-major order increase strictly exactly
-        # when every row's columns do
-        rows = np.repeat(np.arange(n, dtype=np.int64), row_len)
-        if np.any(np.diff(rows * n + indices) <= 0):
-            raise ValueError("column indices must be strictly increasing within each row")
         csr = scipy.sparse.csr_array((data, indices, indptr), shape=(n, n))
+        csr.check_format(full_check=True)  # pointers, index bounds, array lengths
+        if not csr.has_canonical_format:
+            raise ValueError("column indices must be strictly increasing within each row")
         self._init(csr, symmetric)
 
     def _init(self, csr, symmetric):

@@ -31,6 +31,17 @@ def test_pair_requires_equal_widths():
         LowRankFactorPair(np.ones((4, 2)), np.ones((4, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "pos-inf", "neg-inf"])
+@pytest.mark.parametrize("which", ["C", "other"])
+def test_factors_reject_non_finite_entries(bad, which):
+    C, other = np.ones((5, 2)), np.eye(2)
+    (C if which == "C" else other)[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        SymLowRankFactor(C, other)
+    with pytest.raises(ValueError, match="non-finite"):
+        LowRankFactorPair(C, other)
+
+
 def test_compress_duplicate_columns_to_rank_one():
     u = np.zeros((6, 1)); u[1] = 1.0
     v = np.zeros((6, 1)); v[3] = 1.0

@@ -40,6 +40,19 @@ def test_qr_rejects_nonfinite():
         qr_economy(np.array([[np.nan], [1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "pos-inf", "neg-inf"])
+def test_kernels_reject_each_non_finite_value(bad):
+    M = np.eye(3)
+    M[2, 1] = M[1, 2] = bad
+    assert linalg._all_finite(np.eye(3)) and linalg._all_finite(np.zeros((0, 4)))
+    with np.errstate(over="ignore"):  # finite entries whose sum overflows
+        assert linalg._all_finite(np.full((2, 2), 1e308))
+    assert not linalg._all_finite(M)
+    for kernel in (qr_economy, svd, eig_sym):
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel(M)
+
+
 def test_qr_orthogonality_sweep():
     rng = rng_for(2)
     for _ in range(20):

@@ -28,7 +28,8 @@ from mateq import (
     restarted_lyap,
     restarted_sylv,
 )
-from mateq.compression import BasisFactor, TruncationRule, compress, compress_sym
+from mateq.compression import (BasisFactor, LowRankFactorPair, SymLowRankFactor,
+                               TruncationRule, compress, compress_sym)
 from mateq.linalg import orthonormalize_block
 from mateq.residuals import _SLICE_COLUMNS
 
@@ -120,8 +121,7 @@ def test_compression_holds_one_output_sized_block(sym):
     # factors shaped like a lyap-lap2d solution update: an orthonormal old
     # solution Q (45 columns) and new columns Z (27).  Beyond its inputs and
     # outputs, compression may hold one row slice of the Q2 product
-    # (_SLICE_COLUMNS n-columns), small (q + z)-square matrices and, for
-    # compress_sym, SymLowRankFactor's n x w boolean finiteness mask; a whole
+    # (_SLICE_COLUMNS n-columns) and small (q + z)-square matrices; a whole
     # Q2 @ W temporary would add another output's worth
     rng = rng_for(8)
     n, q, z = 6400, 45, 27
@@ -135,14 +135,28 @@ def test_compression_holds_one_output_sized_block(sym):
     if sym:
         fac = (factor(), np.diag(np.geomspace(1.0, 1e-6, q + z)))
         out, peak = _traced_peak(lambda: compress_sym(fac, rule))
-        widths, mask = out.rank, n * out.rank
+        widths = out.rank
     else:
         pair = (factor(), factor())
         (U, _, V), peak = _traced_peak(lambda: compress(pair, rule))
-        widths, mask = U.shape[1] + V.shape[1], 0
+        widths = U.shape[1] + V.shape[1]
     assert widths >= q + z
-    budget = 8 * n * (widths + _SLICE_COLUMNS) + mask + 8 * 12 * (q + z) ** 2
+    budget = 8 * n * (widths + _SLICE_COLUMNS) + 8 * 12 * (q + z) ** 2
     assert peak <= budget, (
         f"peak {peak / (8 * n) - widths:.1f} n-columns beyond the outputs, "
         f"budget {budget / (8 * n) - widths:.1f}"
     )
+
+
+@pytest.mark.parametrize("sym", [True, False], ids=["SymLowRankFactor", "LowRankFactorPair"])
+def test_factor_finiteness_check_allocates_no_mask(sym):
+    # an entry-sized boolean mask would be n * w bytes; min and max hold scalars
+    n, w = 100000, 8
+    C = rng_for(9).standard_normal((n, w))
+    if sym:
+        S = np.diag(np.arange(1.0, w + 1))
+        _, peak = _traced_peak(lambda: SymLowRankFactor(C, S))
+    else:
+        D = C[::-1].copy()
+        _, peak = _traced_peak(lambda: LowRankFactorPair(C, D))
+    assert peak <= n * w // 64, f"peak {peak} bytes for an {n} x {w} factor"

@@ -1,4 +1,4 @@
-"""Report fields that every solver fills in through ``SolveReport.finish``."""
+"""What every solver shares: the report it opens and finishes, and its shape checks."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from mateq import (
     InnerSolverConfig,
     SolverConfig,
+    SparseOperator,
     convdiff_3d,
     eksm_lyap,
     eksm_sylv,
@@ -16,6 +17,8 @@ from mateq import (
     restarted_sylv,
     sksm_two_pass,
 )
+from mateq import arnoldi, baselines
+from mateq.errors import DimensionMismatchError
 
 LAP = laplacian_2d(10)
 CD_A = convdiff_3d(4, 1.0, "wA")
@@ -37,6 +40,16 @@ SOLVES = {
     "eksm-lyap": lambda: eksm_lyap(LAP, C_LAP, CG, 1e-8, 60),
     "eksm-sylv": lambda: eksm_sylv(CD_A, CD_B, C_CD, D_CD, GMRES, 1e-8, 40),
     "sksm-two-pass": lambda: sksm_two_pass(LAP, C_LAP, 1e-8, 100),
+}
+# (memmax, k_max) each solve's report opens with
+BUDGETS = {
+    "restarted-lyap": (32, 100),
+    "restarted-lyap-k_max": (32, 2),
+    "restarted-lyap-rank0": (16, 100),
+    "restarted-sylv": (48, 100),
+    "eksm-lyap": (60, None),
+    "eksm-sylv": (40, None),
+    "sksm-two-pass": (None, None),
 }
 
 
@@ -60,6 +73,9 @@ def test_finish_identities(name):
     assert rep.efficiency == a["matvecs"] / a["a_calls"]
     assert rep.solution_rank == fac.C.shape[1]
     assert rep.wall_time_s > 0
+    assert (rep.n, rep.s, rep.norm, rep.tol_res) == (A.n, C.shape[1], "frobenius", 1e-8)
+    assert (rep.memmax, rep.k_max) == BUDGETS[name]
+    assert rep.norm_estimate_method == "power-iteration(20 iters, seed 42)"
     # every solver reports the estimates it computed (the baselines use them
     # for their solution cut), not NaN placeholders
     assert rep.norm_estimate_a == estimate_norm2(A)
@@ -76,6 +92,7 @@ def test_finish_identities(name):
         assert rep.converged == (rep.final_residual <= rep.tol_res)
     else:
         assert rep.residual_bound is None and rep.within_residual_bound is None
+        assert rep.tol_comp is None and rep.tol_comp_res is None
     if name == "restarted-lyap-rank0":
         assert rep.residual_ranks[-1] == 0
     assert rep.converged == (name not in ("restarted-lyap-k_max", "restarted-lyap-rank0"))
@@ -87,3 +104,32 @@ def test_within_residual_bound_flags_a_run_cut_short():
     assert done.within_residual_bound is True
     assert not cut.converged and cut.true_residual > cut.residual_bound
     assert cut.within_residual_bound is False
+
+
+A6, A5 = SparseOperator.identity(6, -1.0), SparseOperator.identity(5, -1.0)
+C6, C5, C6W = np.ones((6, 1)), np.ones((5, 1)), np.ones((6, 2))
+SOLVERS = {
+    "restarted-lyap": lambda A, B, C, D: restarted_lyap(A, C, SolverConfig(memmax=12)),
+    "restarted-sylv": lambda A, B, C, D: restarted_sylv(A, B, C, D, SolverConfig(memmax=12)),
+    "eksm-lyap": lambda A, B, C, D: eksm_lyap(A, C, CG, 1e-8, 12),
+    "eksm-sylv": lambda A, B, C, D: eksm_sylv(A, B, C, D, GMRES, 1e-8, 12),
+    "sksm-two-pass": lambda A, B, C, D: sksm_two_pass(A, C, 1e-8, 10),
+}
+MISMATCHES = {
+    "A-vs-C": (A6, A6, C5, C5),
+    "B-vs-C": (A6, A5, C6, C6),
+    "D-rows": (A6, A6, C6, C5),
+    "D-width": (A6, A6, C6, C6W),
+}
+
+
+# a Lyapunov solver reads neither B nor D
+@pytest.mark.parametrize("name, case", [
+    (name, case) for name in SOLVERS for case in MISMATCHES
+    if name.endswith("sylv") or case == "A-vs-C"
+])
+def test_every_solver_rejects_dimension_mismatch_before_any_product(monkeypatch, name, case):
+    for module in (arnoldi, baselines):
+        monkeypatch.setattr(module, "spmm", lambda *args: pytest.fail("product before check"))
+    with pytest.raises(DimensionMismatchError, match="dimensions disagree"):
+        SOLVERS[name](*MISMATCHES[case])

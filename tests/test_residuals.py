@@ -16,6 +16,8 @@ from mateq import (
     true_residual_sylv,
 )
 
+from mateq.residuals import _row_slices
+
 from conftest import as_op, rng_for, spd_dense, stable_dense
 
 
@@ -160,6 +162,14 @@ def _record_row_slices(monkeypatch):
 
     monkeypatch.setattr(SparseOperator, "apply_rows", spy)
     return seen
+
+
+def test_row_slices_hold_a_few_columns_and_at_least_one_row():
+    # _SLICE_COLUMNS = 4 n-columns of an n x 8 block are n / 2 rows; an empty
+    # block yields no slice instead of a zero step
+    assert list(_row_slices(10, 8)) == [slice(0, 5), slice(5, 10)]
+    assert list(_row_slices(10, 8, min_height=8)) == [slice(0, 8), slice(8, 16)]
+    assert list(_row_slices(0, 3)) == []
 
 
 @pytest.mark.parametrize(

@@ -96,10 +96,14 @@ def test_from_coo_keeps_explicit_zero():
     ([0, 2, 3, 5], [-1, 2, 1, 0, 2], [1.0] * 5, False),  # negative column index
     ([0, 3, 2, 5], [0, 2, 1, 0, 2], [1.0] * 5, False),  # decreasing indptr
     ([0, 2, 3, 4], [0, 2, 1, 0, 2], [1.0] * 5, False),  # indptr[-1] != nnz
+    ([1, 2, 3, 5], [0, 2, 1, 0, 2], [1.0] * 5, False),  # indptr[0] != 0
     ([0, 2, 3, 5], [0, 2, 1, 0, 2], [1.0, np.nan, 1.0, 1.0, 1.0], False),  # non-finite
+    ([0, 2, 3, 5], [0, 2, 1, 0, 2], [1.0, 1.0, np.inf, 1.0, 1.0], False),  # +inf
+    ([0, 2, 3, 5], [0, 2, 1, 0, 2], [1.0, 1.0, 1.0, -np.inf, 1.0], False),  # -inf
     ([0, 2, 3, 4], [0, 2, 1, 2], [1.0, 0.0, 1.0, 1.0], True),  # unmirrored explicit zero
 ], ids=["unsorted", "duplicate", "col-too-large", "col-negative", "indptr-decreasing",
-        "indptr-nnz-mismatch", "non-finite", "unmirrored-zero"])
+        "indptr-nnz-mismatch", "indptr-start", "non-finite", "pos-inf", "neg-inf",
+        "unmirrored-zero"])
 def test_malformed_csr_rejected(indptr, indices, data, symmetric):
     with pytest.raises(ValueError):
         SparseOperator(3, indptr, indices, data, symmetric=symmetric)
