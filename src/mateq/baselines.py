@@ -245,22 +245,15 @@ class _ExtendedBasis:
         self._grow(self._AU[:, d - 2 * s : d - s], self._U[:, d - s : d])
 
 
-def _solution_cut(tol_res, *norms):
-    """Truncation level for the returned solution factors.
+def _solution_rule(tol_res, *norms):
+    """Spectral truncation rule for the returned solution factors.
 
     Discarded solution mass is amplified by the coefficient norms in the
     residual, so cut where the induced residual perturbation stays below the
     solve tolerance.
     """
     total = sum(norms)
-    return tol_res / total if total > 0 else tol_res
-
-
-def _finish_sym(U, Y, tol):
-    """Eigen-truncate the small solution and lift it to full size."""
-    rule = TruncationRule(tol, "spectral")
-    W, lam = _eig_by_magnitude(Y, rule)
-    return SymLowRankFactor(U @ W, np.diag(lam))
+    return TruncationRule(tol_res / total if total > 0 else tol_res, "spectral")
 
 
 def eksm_lyap(A, C, inner, tol_res, max_dim):
@@ -277,7 +270,6 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
     report = _new_report(f"eksm-{inner.kind.split('-')[1]}", C, C, norm_a, norm_a,
                          tol_res, memmax=max_dim)
     basis = _ExtendedBasis(A, C, inner, counter, max_dim)
-    outer = 0
     while True:
         # symmetric to roundoff for symmetric A; made exact, it takes the eigh route
         T = 0.5 * (basis.T + basis.T.T) if A.symmetric else basis.T
@@ -287,12 +279,12 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
         if r <= tol_res:
             break
         basis.extend()
-        outer += 1
-    fac = _finish_sym(basis.U, Y, _solution_cut(tol_res, norm_a, norm_a))
-    report.iterations = outer
+    W, lam = _eig_by_magnitude(Y, _solution_rule(tol_res, norm_a, norm_a))
+    fac = SymLowRankFactor(basis.U @ W, np.diag(lam))
+    report.iterations = len(report.residual_history) - 1  # extensions after the first residual
     report.basis_dim = report.peak_live_columns = basis.dim
     basis = None  # release U and AU before the true residual allocates
-    report.finish(True, fac.rank, true_residual_lyap(A, C, fac.C, fac.S, "frobenius"),
+    report.finish(fac.rank, true_residual_lyap(A, C, fac.C, fac.S, "frobenius"),
                   {"A": counter}, t0)
     return fac, report
 
@@ -313,7 +305,6 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
     Bt = B.transpose()
     ba = _ExtendedBasis(A, C, inner, cnt_a, max_dim)
     bb = _ExtendedBasis(Bt, D, inner, cnt_b, max_dim)
-    outer = 0
     while True:
         F = ba.rhs @ bb.rhs.T
         Y = solve_sylvester_dense(ba.T, bb.T, F)
@@ -323,14 +314,13 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
             break
         ba.extend()
         bb.extend()
-        outer += 1
-    YL, YR = _factor_pair(Y, TruncationRule(_solution_cut(tol_res, norm_a, norm_b), "spectral"))
+    YL, YR = _factor_pair(Y, _solution_rule(tol_res, norm_a, norm_b))
     fac = LowRankFactorPair(ba.U @ YL, bb.U @ YR)
-    report.iterations = outer
+    report.iterations = len(report.residual_history) - 1  # extensions after the first residual
     report.basis_dim = ba.dim
     report.peak_live_columns = ba.dim + bb.dim
     ba = bb = None  # release U and AU before the true residual allocates
-    report.finish(True, fac.rank, true_residual_sylv(A, B, C, D, fac.C, fac.D, "frobenius"),
+    report.finish(fac.rank, true_residual_sylv(A, B, C, D, fac.C, fac.D, "frobenius"),
                   {"A": cnt_a, "B": cnt_b}, t0)
     return fac, report
 
@@ -381,8 +371,6 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
     Hbuf = np.zeros((0, 0))  # H is its leading k x k block
     U_prev, U_cur = None, U1
     beta_prev = None
-    m = 0
-    converged = False
     for j in range(1, max_m + 1):
         Qn, alpha, beta = lanczos_step(U_prev, U_cur, beta_prev)
         proj = None  # free the last step's k x k arrays before the next solve
@@ -396,17 +384,14 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
         proj = ProjectedLyapunov(H, R0, np.eye(s))
         r = residual_norm_lyap(beta, proj.last_rows(s), "frobenius")
         report.residual_history.append(r)
-        m = j
         if r <= tol_res:
-            converged = True
             break
         U_prev, U_cur, beta_prev = U_cur, Qn, beta
     Y = proj.solution()
     proj = H = Hbuf = None
-    report.iterations = m
+    report.iterations = m = len(report.residual_history)
 
-    rule = TruncationRule(_solution_cut(tol_res, norm_a, norm_a), "spectral")
-    WY, lam = _eig_by_magnitude(Y, rule)
+    WY, lam = _eig_by_magnitude(Y, _solution_rule(tol_res, norm_a, norm_a))
     XL = np.zeros((n, WY.shape[1]))
     U_prev, U_cur = None, U1
     beta_prev = None
@@ -418,7 +403,7 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
     fac = SymLowRankFactor(XL, np.diag(lam))
     report.peak_live_columns = 3 * s
     report.basis_dim = m * s
-    report.finish(converged, fac.rank, true_residual_lyap(A, C, fac.C, fac.S, "frobenius"),
+    report.finish(fac.rank, true_residual_lyap(A, C, fac.C, fac.S, "frobenius"),
                   {"A": counter}, t0)
     if verify and report.true_residual > 10 * max(report.final_residual, tol_res):
         raise LossOfOrthogonalityError(

@@ -160,13 +160,11 @@ def _run_solver(name, args, prob):
         else:
             _, rep = eksm_sylv(A, B, C, D, inner, args.tol_res, max_dim=args.memmax // 2)
         return rep
-    if name == "sksm-two-pass":
-        if not lyap_form or not A.symmetric:
-            raise ValueError("sksm-two-pass needs a symmetric Lyapunov-form problem")
-        _, rep = sksm_two_pass(A, C, args.tol_res, max_m=args.max_iters,
-                               verify=args.verify)
-        return rep
-    raise ValueError(f"unknown solver {name!r}")
+    # sksm-two-pass: argparse's choices and _cmd_compare admit no other name
+    if not lyap_form or not A.symmetric:
+        raise ValueError("sksm-two-pass needs a symmetric Lyapunov-form problem")
+    _, rep = sksm_two_pass(A, C, args.tol_res, max_m=args.max_iters, verify=args.verify)
+    return rep
 
 
 def _report_json(rep):

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatchError, SingularOperatorError
-from .linalg import _as_matrix, check_symmetric
+from .linalg import _all_finite, _as_matrix, check_symmetric
 
 __all__ = ["solve_sylvester_dense", "ProjectedLyapunov", "solve_lyapunov_ldlt", "kron_oracle"]
 
@@ -59,7 +59,7 @@ def _check_size(Y, nF, coeff, method):
     the coefficients' norms; a solution that large means the solve divided
     by a (near-)zero eigenvalue sum of its coefficients.  Returns ``||Y||_F``.
     """
-    if not np.isfinite(Y).all():
+    if not _all_finite(Y):
         raise SingularOperatorError(f"{method} produced non-finite entries")
     nY = np.linalg.norm(Y)
     if nY * 1e-13 * coeff > nF:

@@ -8,11 +8,11 @@ the ``array`` format (column-major).
 Reading goes through :func:`scipy.io.mminfo` and :func:`scipy.io.mmread`;
 this module adds only what mateq requires of a file on top: a square
 operator, the ``real`` field, ``general``/``symmetric`` coordinate operators
-and ``general`` dense blocks.  The reader is as lenient as scipy's on the
-entries themselves: tokens after an entry's value are ignored (``1 1 1.0 5``
-reads as 1.0), and a complex-valued file mislabelled ``real`` reads as its
-real part.  Writing is mateq's own so the size line follows the banner
-directly.
+and ``general`` dense blocks.  The reader is as lenient as scipy's: a
+header with a sixth word after the symmetry is accepted, tokens after an
+entry's value are ignored (``1 1 1.0 5`` reads as 1.0), and a complex-valued
+file mislabelled ``real`` reads as its real part.  Writing is mateq's own so
+the size line follows the banner directly.
 """
 
 import numpy as np

@@ -151,7 +151,8 @@ class SolveReport:
     number of basis columns held simultaneously across all Krylov sessions.
     ``within_residual_bound`` says whether the true residual stays within
     ``residual_bound`` (None for solvers that state no bound).  ``converged``
-    says that the last cheap residual is at most ``tol_res``; a restarted run
+    says that the last cheap residual is at most ``tol_res``; :meth:`finish`
+    decides it from ``residual_history`` for every solver, so a restarted run
     whose residual compresses to rank 0 before that stops unconverged.
     """
 
@@ -196,15 +197,16 @@ class SolveReport:
     def to_dict(self):
         return dict(self.__dict__)
 
-    def finish(self, converged, solution_rank, true_residual, counters, t0):
+    def finish(self, solution_rank, true_residual, counters, t0):
         """Fill in the end-of-solve fields that every solver reports.
 
+        ``converged`` is decided here, from the last cheap residual.
         ``counters`` maps operator names to their :class:`OpCounter`;
         ``efficiency`` is A's matvecs per A-call and ``t0`` is the
         ``time.perf_counter()`` value at the start of the solve.
         """
-        self.converged = converged
         self.final_residual = self.residual_history[-1] if self.residual_history else 0.0
+        self.converged = bool(self.residual_history) and self.final_residual <= self.tol_res
         self.final_relative_residual = self._relative(self.final_residual)
         self.solution_rank = solution_rank
         self.true_residual = true_residual
@@ -277,11 +279,10 @@ def _close_cycle(report):
     )
 
 
-def _close_run(report, peak):
+def _close_run(report):
     """Totals over all cycles, and the attainable-residual bound they imply."""
     report.iterations = len(report.residual_history)
     report.restarts = max(len(report.cycle_starts) - 1, 0)
-    report.peak_live_columns = peak
     report.residual_bound = eval_residual_bound(
         report.tol_res, report.restarts, max(report.tol_comp, report.tol_comp_res),
         report.norm_estimate_a, report.norm_estimate_b,
@@ -370,8 +371,6 @@ def restarted_sylv(A, B, C, D, config, verify=False):
     sig = np.zeros(0)
     Ck, Dk = C, D
     R0k = None  # restart blocks Ck diag(sqrt(sig_res)) come back with orthonormal Ck
-    converged = False
-    peak = 0
 
     for _ in range(config.k_max + 1):
         sk = Ck.shape[1]
@@ -383,12 +382,12 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         dec_b = arnoldi_init(Bt, Dk, cnt_b, max_steps=mk, r0=R0k)
         Ck = Dk = None  # copied into the bases
         rhs_core = dec_a.r0 @ dec_b.r0.T
-        flagconv = False
-        Y = None
         for _ in range(mk):
             arnoldi_extend(dec_a)
             arnoldi_extend(dec_b)
-            peak = max(peak, dec_a.materialized_columns + dec_b.materialized_columns)
+            report.peak_live_columns = max(
+                report.peak_live_columns, dec_a.materialized_columns + dec_b.materialized_columns
+            )
             ka, kb = dec_a.m * sk, dec_b.m * sk
             F = np.zeros((ka, kb))
             F[:sk, :sk] = rhs_core
@@ -400,13 +399,11 @@ def restarted_sylv(A, B, C, D, config, verify=False):
                 report.explicit_history.append(
                     explicit_residual_sylv(A, B, C, D, Xacc, config.norm)
                 )
-            if r <= config.tol_res:
-                flagconv = True
-                break
-            if dec_a.breakdown and dec_b.breakdown:
+            if r <= config.tol_res or (dec_a.breakdown and dec_b.breakdown):
                 break
         _close_cycle(report)
-        if not flagconv:
+        done = r <= config.tol_res
+        if not done:
             Ck, sig_res, Dk = compress(
                 (_residual_factor(dec_a, Y[:, -sk:], boundary_first=True),
                  _residual_factor(dec_b, Y[-sk:, :].T, boundary_first=False)),
@@ -427,17 +424,15 @@ def restarted_sylv(A, B, C, D, config, verify=False):
             report.cycle_explicit_residuals.append(
                 explicit_residual_sylv(A, B, C, D, (QL * sig) @ QR.T, config.norm)
             )
-        if flagconv:
-            converged = True
+        if done:
             break
         R0k = np.diag(np.sqrt(sig_res))
         report.residual_ranks.append(Ck.shape[1])
 
     Bt = None  # the final residual applies B.T by itself
     sol = _balanced(QL, sig, QR)  # in place: no second copy of the factors
-    _close_run(report, peak)
-    report.finish(converged, sol.rank,
-                  true_residual_sylv(A, B, C, D, sol.C, sol.D, config.norm),
+    _close_run(report)
+    report.finish(sol.rank, true_residual_sylv(A, B, C, D, sol.C, sol.D, config.norm),
                   {"A": cnt_a, "B": cnt_b}, t0)
     return sol, report
 
@@ -467,8 +462,6 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
     SX = np.zeros((0, 0))
     res = SymLowRankFactor(C, np.eye(s))  # the residual C S C* that the next cycle starts from
     R0k = None  # restart blocks come back orthonormal: R = I
-    converged = False
-    peak = 0
 
     for _ in range(config.k_max + 1):
         sk = res.rank
@@ -479,10 +472,9 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         dec = arnoldi_init(A, res.C, cnt_a, max_steps=mk, r0=R0k)
         Dmid = res.S
         res = None  # its factor is copied into the basis
-        flagconv = False
         for _ in range(mk):
             arnoldi_extend(dec)
-            peak = max(peak, dec.materialized_columns)
+            report.peak_live_columns = max(report.peak_live_columns, dec.materialized_columns)
             proj = H = None  # free the last step's k x k arrays before the next solve
             # symmetric to roundoff for symmetric A; made exact, it takes the eigh route
             H = 0.5 * (dec.H + dec.H.T) if A.symmetric else dec.H
@@ -495,15 +487,13 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
                 report.explicit_history.append(
                     explicit_residual_lyap(A, C, Xacc, config.norm)
                 )
-            if r <= config.tol_res:
-                flagconv = True
-                break
-            if dec.breakdown:
+            if r <= config.tol_res or dec.breakdown:
                 break
         _close_cycle(report)
         Y = proj.solution()
         proj = H = None
-        if not flagconv:
+        done = r <= config.tol_res
+        if not done:
             swap = np.zeros((2 * sk, 2 * sk))
             swap[:sk, sk:] = np.eye(sk)
             swap[sk:, :sk] = np.eye(sk)
@@ -524,8 +514,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
             report.cycle_explicit_residuals.append(
                 explicit_residual_lyap(A, C, XL @ SX @ XL.T, config.norm)
             )
-        if flagconv:
-            converged = True
+        if done:
             break
         R0k = np.eye(res.rank)
         report.residual_ranks.append(res.rank)
@@ -536,7 +525,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         keep = np.diagonal(SX) > 0
         XL, SX = XL[:, keep], np.diag(np.diagonal(SX)[keep])
     final = SymLowRankFactor(XL, SX)
-    _close_run(report, peak)
-    report.finish(converged, XL.shape[1], true_residual_lyap(A, C, XL, SX, config.norm),
+    _close_run(report)
+    report.finish(XL.shape[1], true_residual_lyap(A, C, XL, SX, config.norm),
                   {"A": cnt_a}, t0)
     return final, report

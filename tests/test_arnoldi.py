@@ -38,6 +38,12 @@ def test_init_recomposition():
     assert np.linalg.norm(dec._Q[:, :3] @ dec.r0 - C) <= 1e-12 * np.linalg.norm(C)
 
 
+@pytest.mark.parametrize("C", [np.ones(6), np.ones((6, 0))], ids=["1-d", "width-0"])
+def test_init_rejects_a_block_that_is_not_n_by_s(C):
+    with pytest.raises(ValueError, match="n x s with s >= 1"):
+        arnoldi_init(SparseOperator.identity(6), C, OpCounter(), max_steps=1)
+
+
 def test_init_rejects_rank_deficient():
     u = rng_for(3).standard_normal((10, 1))
     with pytest.raises(RankDeficientBlockError):

@@ -181,6 +181,14 @@ def test_inner_solvers_raise_at_max_iter(kind):
     assert cnt.a_calls <= 3  # two iterations, plus block GMRES's restart check
 
 
+@pytest.mark.parametrize("kind", ["block-cg", "block-gmres"])
+def test_inner_solvers_return_zero_for_a_zero_right_hand_side(kind):
+    cnt = OpCounter()
+    X = InnerSolverConfig(kind=kind).solve(laplacian_2d(5), np.zeros((25, 2)), cnt)
+    assert X.shape == (25, 2) and not X.any()
+    assert cnt.a_calls == 0
+
+
 def test_block_gmres_convdiff():
     from mateq import convdiff_3d
 

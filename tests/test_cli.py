@@ -69,6 +69,32 @@ def test_solve_writes_report_and_history(tmp_path):
         assert os.path.exists(hist + suffix + ".dat")
 
 
+def _dat_rows(path):
+    return [line.split() for line in open(path).read().splitlines()]
+
+
+def test_history_files_of_a_restarted_solve_match_the_report(tmp_path):
+    rep_path = str(tmp_path / "rep.json")
+    hist = str(tmp_path / "h")
+    code = run(["solve", "--problem", "laplacian2d", "--n", "8", "--s", "2",
+                "--seed", "1", "--normalize", "--solver", "restarted-lyap",
+                "--memmax", "32", "--tol-res", "1e-7", "--out", rep_path,
+                "--history-out", hist])
+    assert code == 0
+    rep = json.load(open(rep_path))
+    assert rep["restarts"] >= 1 and len(rep["residual_ranks"]) == rep["restarts"]
+    for suffix, key in (("_res_ranks", "residual_ranks"), ("_sol_ranks", "solution_ranks")):
+        rows = _dat_rows(hist + suffix + ".dat")
+        assert rows == [[str(k), str(r)] for k, r in enumerate(rep[key])]
+    rows = _dat_rows(hist + "_eig.dat")
+    assert [int(k) for k, _, _ in rows] == list(range(len(rep["min_eigenvalues"])))
+    assert [float(e) for _, e, _ in rows] == pytest.approx(rep["min_eigenvalues"], rel=1e-6)
+    rows = _dat_rows(hist + "_cycle_markers.dat")
+    assert [int(i) for i, _ in rows] == [start + 1 for start in rep["cycle_starts"]]
+    marked = [rep["residual_history"][start] / rep["rhs_norm"] for start in rep["cycle_starts"]]
+    assert [float(r) for _, r in rows] == pytest.approx(marked, rel=1e-6)
+
+
 def test_solve_file_problem_roundtrip(tmp_path):
     a_path = str(tmp_path / "A.mtx")
     run(["gen", "--problem", "laplacian2d", "--n", "7", "--out", a_path])

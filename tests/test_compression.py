@@ -31,6 +31,25 @@ def test_pair_requires_equal_widths():
         LowRankFactorPair(np.ones((4, 2)), np.ones((4, 3)))
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: SymLowRankFactor(np.ones((4, 2)), np.eye(3)), "middle must be"),
+    (lambda: BasisFactor(np.eye(4)[:, :2], np.ones((5, 1)), np.ones((3, 1))), "share a row count"),
+    (lambda: BasisFactor(np.eye(4)[:, :2], np.ones((4, 1)), np.ones((2, 1))), "K needs 3 rows"),
+], ids=["sym-middle", "basis-rows", "basis-coefficients"])
+def test_factors_reject_mismatched_shapes(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+@pytest.mark.parametrize("squeeze, fac", [
+    (compress, LowRankFactorPair(np.ones((4, 1)), np.ones((4, 1)))),
+    (compress_sym, SymLowRankFactor(np.ones((4, 1)), np.eye(1))),
+], ids=["compress", "compress_sym"])
+def test_compression_needs_a_rule(squeeze, fac):
+    with pytest.raises(TypeError, match="TruncationRule"):
+        squeeze(fac, 1e-8)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "pos-inf", "neg-inf"])
 @pytest.mark.parametrize("which", ["C", "other"])
 def test_factors_reject_non_finite_entries(bad, which):

@@ -78,6 +78,22 @@ def test_sylvester_detects_singular_operator():
         solve_sylvester_dense(H, G, np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("bad, match", [
+    (np.nan, "non-finite entries"),
+    (1.0, "solve residual"),  # finite and of sane size, but not a solution
+], ids=["non-finite", "wrong"])
+def test_sylvester_rejects_a_bad_solve(monkeypatch, bad, match):
+    monkeypatch.setattr(scipy.linalg, "solve_sylvester", lambda H, G, F: np.full(F.shape, bad))
+    with pytest.raises(SingularOperatorError, match=match):
+        solve_sylvester_dense(-np.eye(2), -np.eye(3), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("k, l", [(0, 2), (3, 0)])
+def test_sylvester_empty_right_hand_side(k, l):
+    Y = solve_sylvester_dense(-np.eye(k), -np.eye(l), np.zeros((k, l)))
+    assert Y.shape == (k, l)
+
+
 def test_sylvester_shape_check():
     with pytest.raises(DimensionMismatchError):
         solve_sylvester_dense(np.eye(2), np.eye(2), np.ones((3, 2)))

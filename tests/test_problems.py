@@ -162,6 +162,18 @@ def test_rhs_determinism():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: laplacian_2d(1), "at least 2 interior"),
+    (lambda: convdiff_3d(1, 0.01), "at least 2 interior"),
+    (lambda: convdiff_3d(3, 0.0), "viscosity must be positive"),
+    (lambda: convdiff_3d(3, 0.01, "wC"), "unknown convection field 'wC'"),
+    (lambda: random_rhs(9, 0, seed=1), "block width must be >= 1"),
+], ids=["laplacian-grid", "convdiff-grid", "viscosity", "field", "rhs-width"])
+def test_generators_reject_bad_arguments(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_generator_sizes_match_benchmarks():
     assert laplacian_2d(100).n == 10000
     assert convdiff_3d(25, 0.01, "wA").n == 15625

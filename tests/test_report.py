@@ -67,6 +67,7 @@ def test_finish_identities(name):
     rhs_norm = np.linalg.norm(C @ D.T)
     assert abs(rep.rhs_norm - rhs_norm) <= 1e-12 * rhs_norm
     assert rep.final_residual == rep.residual_history[-1]
+    assert rep.converged == (rep.final_residual <= rep.tol_res)
     assert rep.final_relative_residual == rep.final_residual / rep.rhs_norm
     assert rep.true_relative_residual == rep.true_residual / rep.rhs_norm
     a = rep.counters["A"]
@@ -89,7 +90,6 @@ def test_finish_identities(name):
         assert rep.solution_ranks[-1] == rep.solution_rank
         assert rep.restarts >= 1
         assert rep.within_residual_bound == (rep.true_residual <= rep.residual_bound)
-        assert rep.converged == (rep.final_residual <= rep.tol_res)
     else:
         assert rep.residual_bound is None and rep.within_residual_bound is None
         assert rep.tol_comp is None and rep.tol_comp_res is None

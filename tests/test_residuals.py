@@ -38,6 +38,12 @@ def test_identity_boundaries_single_step():
         assert np.isclose(residual_norm_lyap(I, Y, "spectral"), 1.0)
 
 
+@pytest.mark.parametrize("norm", ["nuclear", "fro"])
+def test_unknown_norm_is_rejected(norm):
+    with pytest.raises(ValueError, match="unknown norm"):
+        residual_norm_lyap(np.eye(2), np.eye(2), norm)
+
+
 def test_cheap_formula_matches_explicit_sylvester():
     rng = rng_for(1)
     n, s, m = 20, 2, 3

@@ -74,6 +74,17 @@ def test_spmm_dimension_mismatch():
         spmm(A, np.ones((5, 2)), OpCounter())
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda A: spmm(A, np.ones((4, 0)), OpCounter()), "s >= 1"),
+    (lambda A: spmm(A, np.ones(4), OpCounter()), "s >= 1"),
+    (lambda A: A.apply(np.ones((5, 2))), "block has 5 rows"),
+    (lambda A: A.apply_rows(np.ones((5, 2)), slice(0, 2)), "block has 5 rows"),
+], ids=["spmm-width-0", "spmm-1d", "apply", "apply_rows"])
+def test_products_reject_misshapen_blocks(call, match):
+    with pytest.raises(DimensionMismatchError, match=match):
+        call(SparseOperator.identity(4))
+
+
 def test_from_coo_sums_duplicates():
     A = SparseOperator.from_coo(2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])
     assert A.nnz == 2
@@ -152,6 +163,12 @@ def test_estimate_norm2_diagonal():
 def test_estimate_norm2_zero():
     A = SparseOperator.from_coo(4, [], [], [])
     assert estimate_norm2(A) == 0.0
+
+
+@pytest.mark.parametrize("iters", [0, -1])
+def test_estimate_norm2_needs_a_step(iters):
+    with pytest.raises(ValueError, match="iters must be >= 1"):
+        estimate_norm2(SparseOperator.identity(4), iters=iters)
 
 
 def test_estimate_norm2_is_lower_bound_and_deterministic():
@@ -238,6 +255,21 @@ def test_mm_rejects_malformed_body(tmp_path, read, text):
         fh.write(text)
     with pytest.raises(ValueError):
         read(path)
+
+
+# what the reader accepts on purpose (mmio's docstring): scipy's leniency, pinned
+# so that a change in scipy shows
+@pytest.mark.parametrize("text", [
+    _COO + "2 2 2\n1 1 1.0 5\n2 2 2.0\n",  # tokens after an entry's value are ignored
+    _COO.replace("general", "general extra") + "2 2 2\n1 1 1.0\n2 2 2.0\n",  # sixth header word
+    _COO + "2 2 2\n1 1 1.0 3.0\n2 2 2.0 -4.0\n",  # complex entries read as their real part
+], ids=["extra-token", "sixth-header-word", "complex-under-real"])
+def test_mm_accepts_documented_leniencies(tmp_path, text):
+    path = os.path.join(tmp_path, "lenient.mtx")
+    with open(path, "w") as fh:
+        fh.write(text)
+    A = read_matrix_market(path)
+    assert np.array_equal(A.to_dense(), np.diag([1.0, 2.0])) and not A.symmetric
 
 
 def test_mm_rejects_nonsquare(tmp_path):
