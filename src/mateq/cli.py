@@ -87,7 +87,9 @@ def _add_solver_flags(sp):
     sp.add_argument("--max-restarts", type=int, default=100)
     sp.add_argument("--max-iters", type=int, default=1000, help="cap for sksm-two-pass")
     sp.add_argument("--norm", default="fro", choices=list(_NORMS))
-    sp.add_argument("--inner-tol", type=float, default=1e-8)
+    sp.add_argument("--inner-tol", type=float, default=1e-8,
+                    help="floor of the EKSM inner-solve tolerance, which relaxes "
+                         "as the outer residual falls (at most 0.1)")
     sp.add_argument("--verify", action="store_true",
                     help="cross-check with dense residuals (small n only)")
     sp.add_argument("--psd-project", action="store_true",

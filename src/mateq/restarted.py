@@ -154,6 +154,9 @@ class SolveReport:
     says that the last cheap residual is at most ``tol_res``; :meth:`finish`
     decides it from ``residual_history`` for every solver, so a restarted run
     whose residual compresses to rank 0 before that stops unconverged.
+    ``inner_tolerances`` holds, for the extended Krylov solvers, the relaxed
+    tolerance of each inner solve pair they ran, the first pair included
+    (None for the other solvers).
     """
 
     solver: str
@@ -175,6 +178,7 @@ class SolveReport:
     cycle_budgets: list = field(default_factory=list)
     cycle_inner_iterations: list = field(default_factory=list)
     min_eigenvalues: list | None = None
+    inner_tolerances: list | None = None
     rhs_norm: float = 0.0
     final_residual: float = float("nan")
     final_relative_residual: float = float("nan")

@@ -177,14 +177,14 @@ def test_inner_solvers_raise_at_max_iter(kind):
     cfg = InnerSolverConfig(kind=kind, max_iter=2)
     cnt = OpCounter()
     with pytest.raises(NonConvergenceError, match="did not reach"):
-        cfg.solve(laplacian_2d(20), RHS, cnt)
+        cfg.solve(laplacian_2d(20), RHS, cnt, cfg.tol)
     assert cnt.a_calls <= 3  # two iterations, plus block GMRES's restart check
 
 
 @pytest.mark.parametrize("kind", ["block-cg", "block-gmres"])
 def test_inner_solvers_return_zero_for_a_zero_right_hand_side(kind):
     cnt = OpCounter()
-    X = InnerSolverConfig(kind=kind).solve(laplacian_2d(5), np.zeros((25, 2)), cnt)
+    X = InnerSolverConfig(kind=kind).solve(laplacian_2d(5), np.zeros((25, 2)), cnt, 1e-8)
     assert X.shape == (25, 2) and not X.any()
     assert cnt.a_calls == 0
 
@@ -256,6 +256,71 @@ def test_eksm_sylv_immediate_and_oracle():
     Xo = kron_oracle(Ad, Bd, C @ D.T)
     assert np.linalg.norm(fac.to_dense() - Xo) <= 10 * 1e-8 * max(np.linalg.norm(Xo), 1)
     assert rep.counters["A"]["a_calls"] > 0 and rep.counters["B"]["a_calls"] > 0
+
+
+def _convdiff_pair():
+    """A nonsymmetric Sylvester problem whose inner tolerances relax well above 1e-10."""
+    from mateq import convdiff_3d, random_rhs
+
+    A, B = convdiff_3d(3, 0.1, "wA"), convdiff_3d(3, 0.1, "wB")
+    C, D = random_rhs(A.n, 2, seed=4, normalize=True, pair=True)
+    return A, B, C, D
+
+
+@pytest.mark.parametrize("kind", ["block-cg", "block-gmres"])
+def test_eksm_inner_tolerances_follow_the_relaxation_rule(kind):
+    from mateq import random_rhs
+
+    floor, c, tau_max = 1e-10, baselines._C_RELAX, baselines._TAU_MAX
+    inner = InnerSolverConfig(kind, floor)
+    if kind == "block-cg":
+        A = laplacian_2d(10)
+        _, rep = eksm_lyap(A, random_rhs(A.n, 2, seed=3, normalize=True), inner, 1e-8, 60)
+    else:
+        _, rep = eksm_sylv(*_convdiff_pair(), inner, 1e-8, 64)
+    tols = rep.inner_tolerances
+    assert len(tols) == rep.iterations + 1  # the first pair, then one per extension
+    assert tols[0] == min(tau_max, max(floor, c * rep.tol_res / rep.rhs_norm))
+    for tol, r in zip(tols[1:], rep.residual_history):
+        assert tol == min(tau_max, max(floor, c * rep.tol_res / r))
+    assert all(floor <= tol <= tau_max for tol in tols)
+    assert tols[-1] > 1e4 * floor  # the rule did relax
+
+
+def test_eksm_zero_right_hand_side_takes_the_loosest_inner_tolerance():
+    A = laplacian_2d(5)
+    fac, rep = eksm_lyap(A, np.zeros((A.n, 2)), InnerSolverConfig(), 1e-8, 20)
+    assert rep.converged and fac.rank == 0
+    assert rep.inner_tolerances == [baselines._TAU_MAX]
+
+
+def test_eksm_sylv_relaxed_block_gmres_matches_oracle():
+    A, B, C, D = _convdiff_pair()
+    fac, rep = eksm_sylv(A, B, C, D, InnerSolverConfig("block-gmres", 1e-10), 1e-8, 64)
+    assert rep.converged and rep.iterations >= 4
+    Ad, Bd = (M.apply(np.eye(M.n)) for M in (A, B))
+    Xo = kron_oracle(Ad, Bd, C @ D.T)
+    assert np.linalg.norm(fac.to_dense() - Xo) <= 10 * 1e-8 * max(np.linalg.norm(Xo), 1)
+
+
+def test_extended_basis_residual_is_exact_under_loose_inverses():
+    # T and the out-of-space part A U - U T come from images that SpMM applied
+    # exactly and C spans the first block, so the cheap residual of U Y U* is
+    # its true residual however loosely the inverse blocks were solved
+    from mateq import convdiff_3d, random_rhs, residuals, solve_lyapunov_ldlt
+
+    A = convdiff_3d(4, 0.1, "wA")
+    C = random_rhs(A.n, 2, seed=5, normalize=True)
+    inner = InnerSolverConfig("block-gmres", 1e-2)
+    basis = baselines._ExtendedBasis(A, C, inner, OpCounter(), 16, inner.tol)
+    while True:
+        Y = solve_lyapunov_ldlt(basis.T, basis.rhs, np.eye(2))
+        cheap = np.sqrt(2.0) * basis.residual_norm(Y)
+        true = residuals.explicit_residual_lyap(A, C, basis.U @ Y @ basis.U.T)
+        assert abs(cheap - true) <= 1e-10 * true
+        if basis.dim == 16:
+            break
+        basis.extend(inner.tol)
 
 
 def test_sksm_exact_after_one_step():
@@ -336,10 +401,17 @@ def test_inner_config_rejects_nonpositive_restart(restart):
         InnerSolverConfig(kind="block-gmres", restart=restart)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_inner_config_rejects_nonpositive_max_iter(max_iter):
+    with pytest.raises(ValueError, match="max_iter"):
+        InnerSolverConfig(max_iter=max_iter)
+
+
 @pytest.mark.parametrize("kwargs, match", [
     ({"kind": "cg"}, "kind"),
     ({"tol": 0.0}, "tolerance"),
     ({"tol": 1.0}, "tolerance"),
+    ({"tol": 0.5}, "tolerance"),  # above the relaxed rule's cap, so no floor
 ])
 def test_inner_config_rejects_bad_kind_or_tol(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -351,12 +423,12 @@ def test_extended_basis_checks_capacity_before_any_work():
     C = rng_for(13).standard_normal((A.n, 2))
     cnt = OpCounter()
     with pytest.raises(MemoryExhaustedError, match="needs 4 columns"):
-        baselines._ExtendedBasis(A, C, InnerSolverConfig(), cnt, max_dim=3)
+        baselines._ExtendedBasis(A, C, InnerSolverConfig(), cnt, max_dim=3, tol=1e-8)
     assert cnt.a_calls == 0  # the first pair failed before its inner solve
-    basis = baselines._ExtendedBasis(A, C, InnerSolverConfig(), cnt, max_dim=4)
+    basis = baselines._ExtendedBasis(A, C, InnerSolverConfig(), cnt, max_dim=4, tol=1e-8)
     calls = cnt.a_calls
     with pytest.raises(MemoryExhaustedError, match="needs 8 columns"):
-        basis.extend()
+        basis.extend(1e-8)
     assert cnt.a_calls == calls and basis.dim == 4
 
 

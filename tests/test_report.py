@@ -93,6 +93,7 @@ def test_finish_identities(name):
     else:
         assert rep.residual_bound is None and rep.within_residual_bound is None
         assert rep.tol_comp is None and rep.tol_comp_res is None
+    assert (rep.inner_tolerances is not None) == name.startswith("eksm")
     if name == "restarted-lyap-rank0":
         assert rep.residual_ranks[-1] == 0
     assert rep.converged == (name not in ("restarted-lyap-k_max", "restarted-lyap-rank0"))
