@@ -324,10 +324,12 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
         tols.append(_relaxed_tol(inner.tol, tol_res, r))
         basis.extend(tols[-1])
     W, lam = _eig_by_magnitude(Y, _solution_rule(tol_res, norm_a, norm_a))
-    fac = SymLowRankFactor(basis.U @ W, np.diag(lam))
     report.iterations = len(report.residual_history) - 1  # extensions after the first residual
     report.basis_dim = report.peak_live_columns = basis.dim
-    basis = None  # release U and AU before the true residual allocates
+    U = basis.U
+    basis = None  # release the images AU before the solution factor allocates
+    fac = SymLowRankFactor(U @ W, np.diag(lam))
+    U = None  # and the basis before the true residual allocates
     report.finish(fac.rank, true_residual_lyap(A, C, fac.C, fac.S, "frobenius"),
                   {"A": counter}, t0)
     return fac, report
@@ -361,11 +363,16 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
         ba.extend(tols[-1])
         bb.extend(tols[-1])
     YL, YR = _factor_pair(Y, _solution_rule(tol_res, norm_a, norm_b))
-    fac = LowRankFactorPair(ba.U @ YL, bb.U @ YR)
     report.iterations = len(report.residual_history) - 1  # extensions after the first residual
     report.basis_dim = ba.dim
     report.peak_live_columns = ba.dim + bb.dim
-    ba = bb = None  # release U and AU before the true residual allocates
+    UA, UB = ba.U, bb.U
+    ba = bb = None  # release both images AU before the factors allocate
+    XL = UA @ YL
+    UA = None  # and each basis once its factor is formed
+    XR = UB @ YR
+    UB = None
+    fac = LowRankFactorPair(XL, XR)
     report.finish(fac.rank, true_residual_sylv(A, B, C, D, fac.C, fac.D, "frobenius"),
                   {"A": cnt_a, "B": cnt_b}, t0)
     return fac, report

@@ -23,6 +23,13 @@ empty ``Q``.  The restarted drivers use this for their residual factors,
 which lie in the Arnoldi basis (no tall QR at all), and for their solution
 updates, whose previous factors are orthonormal.
 
+Each compression is thus a coefficient step (orthonormalize ``Z``,
+decompose the small core, truncate) followed by the products that form the
+output.  For two-sided products the coefficient step is a function of its
+own, :func:`_truncated_svd`, which leaves each output factor in coefficient
+space: ``restarted_sylv`` forms each side of its restart residual just
+before it releases that side's Arnoldi basis.
+
 Truncation rules: under the ``spectral`` rule every discarded singular value
 (eigenvalue magnitude) is below the tolerance; under the ``frobenius`` rule
 the Euclidean norm of the discarded values stays below it.
@@ -163,19 +170,20 @@ def _orthonormalize(f):
     return Q2, np.eye(R.shape[0]), R
 
 
-def _combine(Q, Q2, W):
-    """``[Q, Q2] @ W`` without forming ``[Q, Q2]`` or a second output-sized block.
+def _combine(f):
+    """``f.Q @ f.K[:q] + f.Z @ f.K[q:]`` without a second output-sized block.
 
-    ``Q @ W[:q]`` is the output; ``Q2 @ W[q:]`` is added into it one row
-    slice (:func:`residuals._row_slices`) at a time.
+    The product with ``Q`` is the output; the product with ``Z`` is added
+    into it one row slice (:func:`residuals._row_slices`) at a time.
     """
+    Q, Z, K = f.Q, f.Z, f.K
     q = Q.shape[1]
     if q == 0:
-        return Q2 @ W
-    out = Q @ W[:q]
-    if Q2.shape[1]:
+        return Z @ K
+    out = Q @ K[:q]
+    if Z.shape[1]:
         for rows in _row_slices(*out.shape):
-            out[rows] += Q2[rows] @ W[q:]
+            out[rows] += Z[rows] @ K[q:]
     return out
 
 
@@ -198,6 +206,26 @@ def _balanced(U, sig, V):
     return LowRankFactorPair(U, V)
 
 
+def _truncated_svd(pair, rule):
+    """Coefficient step of :func:`compress` for a ``(left, right)`` BasisFactor tuple.
+
+    Returns ``(U, sigma, V)`` with ``U`` and ``V`` as :class:`BasisFactor`
+    ``[Q, Q2] @ W`` whose products (:func:`_combine`) are the truncated SVD's
+    orthonormal factors.  This step orthonormalizes each factor's extra
+    columns ``Z`` against its ``Q`` and takes the SVD of the small core; with
+    no extra columns, as in a restart residual before a happy breakdown, it
+    does no n-row work at all, so a caller may form each side's output when
+    it likes and release that side's basis with it.
+    """
+    left, right = pair
+    Qc, Uc, Tc = _orthonormalize(left)
+    Qd, Ud, Td = _orthonormalize(right)
+    U, sig, Vt = svd(Tc @ Td.T)
+    keep = _keep_count(sig, rule)
+    return (BasisFactor(left.Q, Qc, Uc @ U[:, :keep]), sig[:keep],
+            BasisFactor(right.Q, Qd, Ud @ Vt[:keep].T))
+
+
 def compress(pair, rule):
     """Truncate a two-sided low-rank product through the SVD of a small core.
 
@@ -215,13 +243,8 @@ def compress(pair, rule):
         if pair.rank == 0:
             return pair
         return _balanced(*compress((BasisFactor.plain(pair.C), BasisFactor.plain(pair.D)), rule))
-    left, right = pair
-    Qc, Uc, Tc = _orthonormalize(left)
-    Qd, Ud, Td = _orthonormalize(right)
-    U, sig, Vt = svd(Tc @ Td.T)
-    keep = _keep_count(sig, rule)
-    return (_combine(left.Q, Qc, Uc @ U[:, :keep]), sig[:keep],
-            _combine(right.Q, Qd, Ud @ Vt[:keep].T))
+    U, sig, V = _truncated_svd(pair, rule)
+    return _combine(U), sig, _combine(V)
 
 
 def _eig_by_magnitude(core, rule):
@@ -252,7 +275,7 @@ def compress_sym(fac, rule):
     Q2, U, T = _orthonormalize(factor)
     core = T @ S @ T.T
     W, lam = _eig_by_magnitude(0.5 * (core + core.T), rule)
-    return SymLowRankFactor(_combine(factor.Q, Q2, U @ W), np.diag(lam))
+    return SymLowRankFactor(_combine(BasisFactor(factor.Q, Q2, U @ W)), np.diag(lam))
 
 
 def psd_project(fac):

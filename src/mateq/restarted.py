@@ -24,13 +24,16 @@ solution is formed and checked once per cycle, when the cycle stops, for
 the restart residual and the solution update.  Each step's projected solve
 is dropped before the next one is built.
 
-Memory at a cycle's end is released in reading order: the restart residual
-is compressed first, while only the Arnoldi bases and the running solution
-are held; then the new solution columns ``V_m W`` are formed, Fortran-ordered
-so that compression orthonormalizes them in place, and each basis is dropped
-as soon as they are; only then is the solution compressed.  The restart
-block is dropped once it is copied into the next basis.  The two
-compressions do independent arithmetic, so the order changes no factor.
+Memory at a cycle's end is released in reading order.  The restart
+residual's coefficient step (:func:`compression._truncated_svd`) runs
+first; before a happy breakdown it does no n-row work.  Then each side in
+turn forms its new solution columns ``V_m W``, Fortran-ordered so that
+compression orthonormalizes them in place, and its restart block, and drops
+its Arnoldi basis: the second side's restart block never coexists with the
+first side's basis.  Only then is the solution compressed.  The restart
+block is dropped once it is copied into the next basis.  The steps do
+independent arithmetic, so the order changes no factor.  ``B.T`` is applied
+through a zero-copy view of ``B``'s arrays (:meth:`SparseOperator.transpose`).
 
 The per-cycle iteration budget divides the column budget by the width of the
 current residual factor, so the basis depth adapts automatically as the
@@ -51,8 +54,10 @@ from .compression import (
     SymLowRankFactor,
     TruncationRule,
     _balanced,
+    _combine,
     _eig_by_magnitude,
     _keep_count,
+    _truncated_svd,
     compress,
     compress_sym,
 )
@@ -407,20 +412,24 @@ def restarted_sylv(A, B, C, D, config, verify=False):
                 break
         _close_cycle(report)
         done = r <= config.tol_res
-        if not done:
-            Ck, sig_res, Dk = compress(
+        if not done:  # the restart residual's factors, still in the bases
+            res_a, sig_res, res_b = _truncated_svd(
                 (_residual_factor(dec_a, Y[:, -sk:], boundary_first=True),
                  _residual_factor(dec_b, Y[-sk:, :].T, boundary_first=False)),
                 rule_res,
             )
         YL, YR = _factor_pair(Y, rule_sol)
-        # release each basis once its new solution columns are formed: the
-        # solution update does not read them
+        # release each basis once its new solution columns and its restart
+        # block are formed: the solution update does not read it
         left = BasisFactor(QL, _in_basis(dec_a.basis, YL),
                            np.diag(np.r_[sig, np.ones(YL.shape[1])]))
-        dec_a = None
+        if not done:
+            Ck = _combine(res_a)
+        dec_a = res_a = None
         right = BasisFactor(QR, _in_basis(dec_b.basis, YR), np.eye(sig.size + YR.shape[1]))
-        dec_b = None
+        if not done:
+            Dk = _combine(res_b)
+        dec_b = res_b = None
         QL, sig, QR = compress((left, right), rule_sol)
         left = right = None  # the previous factors and the new columns go with them
         report.solution_ranks.append(sig.size)
@@ -433,7 +442,6 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         R0k = np.diag(np.sqrt(sig_res))
         report.residual_ranks.append(Ck.shape[1])
 
-    Bt = None  # the final residual applies B.T by itself
     sol = _balanced(QL, sig, QR)  # in place: no second copy of the factors
     _close_run(report)
     report.finish(sol.rank, true_residual_sylv(A, B, C, D, sol.C, sol.D, config.norm),

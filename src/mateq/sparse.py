@@ -1,7 +1,10 @@
 """Sparse coefficient operators with counted block application.
 
-``SparseOperator`` is an immutable square CSR matrix held as one
-``scipy.sparse`` CSR array; every product runs on ``scipy.sparse``.  All
+``SparseOperator`` is an immutable square sparse matrix held as one
+``scipy.sparse`` array; every product runs on ``scipy.sparse``.  An operator
+built from arrays is a CSR array.  Its :meth:`~SparseOperator.transpose` is
+scipy's CSC view of the same arrays, so a transpose shares the original
+operator's memory and costs no copy; it still reports CSR arrays.  All
 solver-facing products go through :func:`spmm`, which charges an
 :class:`OpCounter` session object: one *A-call* per block application and one
 *matvec* per applied column.  Counters live outside the operator so a shared
@@ -44,12 +47,14 @@ class SparseOperator:
     n : int
         Dimension.
     indptr, indices, data : ndarray
-        CSR arrays; column indices strictly increasing within each row.
+        CSR arrays; column indices strictly increasing within each row.  A
+        transpose holds a CSC view of another operator's arrays and builds
+        its CSR arrays on each read.
     symmetric : bool
         Structural symmetry flag, verified exactly at construction.
     """
 
-    __slots__ = ("_csr", "symmetric")
+    __slots__ = ("_mat", "symmetric")
 
     def __init__(self, n, indptr, indices, data, symmetric=False):
         n = int(n)
@@ -65,50 +70,53 @@ class SparseOperator:
             raise ValueError("column indices must be strictly increasing within each row")
         self._init(csr, symmetric)
 
-    def _init(self, csr, symmetric):
-        """Adopt a canonical CSR array after the entry and symmetry checks."""
-        if not np.isfinite(csr.data).all():
+    def _init(self, mat, symmetric):
+        """Adopt a CSR array (or a transpose's CSC view) after the entry and symmetry checks."""
+        if not np.isfinite(mat.data).all():
             raise ValueError("operator entries must be finite")
         if symmetric:
-            t = csr.T.tocsr()
+            t = mat.T.tocsr()
             same = (
-                np.array_equal(t.indptr, csr.indptr)
-                and np.array_equal(t.indices, csr.indices)
-                and np.array_equal(t.data, csr.data)
+                np.array_equal(t.indptr, mat.indptr)
+                and np.array_equal(t.indices, mat.indices)
+                and np.array_equal(t.data, mat.data)
             )
             if not same:
                 raise ValueError("symmetric flag set but operator is not exactly symmetric")
-        object.__setattr__(self, "_csr", csr)
+        object.__setattr__(self, "_mat", mat)
         object.__setattr__(self, "symmetric", bool(symmetric))
 
     @classmethod
-    def _from_csr(cls, csr, symmetric):
+    def _from_scipy(cls, mat, symmetric):
         op = cls.__new__(cls)
-        op._init(csr, symmetric)
+        op._init(mat, symmetric)
         return op
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseOperator is immutable")
 
+    def _as_csr(self):
+        return self._mat if self._mat.format == "csr" else self._mat.tocsr()
+
     @property
     def n(self):
-        return self._csr.shape[0]
+        return self._mat.shape[0]
 
     @property
     def indptr(self):
-        return self._csr.indptr
+        return self._as_csr().indptr
 
     @property
     def indices(self):
-        return self._csr.indices
+        return self._as_csr().indices
 
     @property
     def data(self):
-        return self._csr.data
+        return self._as_csr().data
 
     @property
     def nnz(self):
-        return self._csr.nnz
+        return self._mat.nnz
 
     @classmethod
     def from_coo(cls, n, rows, cols, values, symmetric=False):
@@ -116,7 +124,7 @@ class SparseOperator:
         coo = scipy.sparse.coo_array(
             (np.asarray(values, dtype=np.float64), (rows, cols)), shape=(n, n)
         )
-        return cls._from_csr(coo.tocsr(), symmetric)
+        return cls._from_scipy(coo.tocsr(), symmetric)
 
     @classmethod
     def from_dense(cls, M, symmetric=False, tol=0.0):
@@ -133,26 +141,31 @@ class SparseOperator:
         return cls(n, indptr, idx, np.full(n, float(scale)), symmetric=True)
 
     def transpose(self):
+        """``A.T`` over this operator's own arrays (scipy's zero-copy CSC view).
+
+        Its products sum each entry in the same order as a transposed CSR
+        copy's would, so they agree with that copy's bit for bit.
+        """
         if self.symmetric:
             return self
-        return SparseOperator._from_csr(self._csr.T.tocsr(), symmetric=False)
+        return SparseOperator._from_scipy(self._mat.T, symmetric=False)
 
     def apply(self, V):
         """Uncounted block application A @ V (diagnostics and norm estimation)."""
         V = np.asarray(V, dtype=np.float64)
         if V.shape[0] != self.n:
             raise DimensionMismatchError(f"operator is {self.n}x{self.n}, block has {V.shape[0]} rows")
-        return self._csr @ V
+        return self._mat @ V
 
     def apply_rows(self, V, rows):
         """Uncounted product ``A[rows] @ V`` for a slice of rows (row-blocked diagnostics)."""
         V = np.asarray(V, dtype=np.float64)
         if V.shape[0] != self.n:
             raise DimensionMismatchError(f"operator is {self.n}x{self.n}, block has {V.shape[0]} rows")
-        return self._csr[rows] @ V
+        return self._mat[rows] @ V
 
     def to_dense(self):
-        return self._csr.toarray()
+        return self._mat.toarray()
 
     def __repr__(self):
         return f"SparseOperator(n={self.n}, nnz={self.nnz}, symmetric={self.symmetric})"
@@ -168,7 +181,7 @@ def spmm(A, V, counter):
         raise DimensionMismatchError(f"block must be n x s with s >= 1, got shape {V.shape}")
     if V.shape[0] != A.n:
         raise DimensionMismatchError(f"operator is {A.n}x{A.n}, block has {V.shape[0]} rows")
-    out = A._csr @ V
+    out = A._mat @ V
     counter.record(V.shape[1])
     return out
 
@@ -179,14 +192,14 @@ def estimate_norm2(A, iters=20, seed=42):
     Runs ``iters`` power steps on ``A.T @ A`` from a seeded random start and
     returns the Rayleigh-quotient value ``||A v||``, which is a lower estimate
     of the true ``||A||_2``.  Deterministic given the seed; applications are
-    not charged to any counter.  ``A.T`` is applied through the CSC view of
-    the CSR arrays, which sums each entry of ``A.T @ w`` in the same order as
-    a transposed CSR copy would, without building one.
+    not charged to any counter.  ``A.T`` is applied through scipy's
+    transposed view of A's arrays, which sums each entry of ``A.T @ w`` in
+    the same order as a transposed CSR copy would, without building one.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    At = A._csr.T
+    At = A._mat.T
     v = rng.standard_normal(A.n)
     nv = np.linalg.norm(v)
     if nv == 0:  # pragma: no cover - standard_normal never returns all zeros

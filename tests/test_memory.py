@@ -102,6 +102,37 @@ def test_eksm_lyap_peak_memory_within_stated_budget():
     )
 
 
+def test_restarted_sylv_holds_no_operator_copy_nor_both_restart_blocks():
+    # the budget with no operator bytes and c = 5: B.T is a view of B's
+    # arrays, and each side's restart block is formed just before that side's
+    # basis is released.  A transposed copy of B (14 n-columns here) and the
+    # second side's restart block beside the first side's basis (10 more)
+    # would take the peak to about 363 to 365 n-columns, above 358
+    _, factors, solve = _sylv()
+    (_, report), peak = _traced_peak(solve)
+    assert report.converged and report.restarts >= 1
+    s_max = max([report.s, *report.residual_ranks])
+    budget = 8 * report.n * (report.memmax + factors * max(report.solution_ranks) + 5 * s_max)
+    assert peak <= budget, (
+        f"peak {peak / (8 * report.n):.1f} n-columns > budget {budget / (8 * report.n):.1f}"
+    )
+
+
+def test_eksm_lyap_releases_images_before_the_solution_factor():
+    # 2 max_dim + 13 s, no solution-rank term: block CG's blocks beside U and
+    # A U set the peak (about 223 n-columns here).  Forming the solution
+    # factor U W while A U is still held would add its rank, 31, to about 238
+    A = problems.laplacian_2d(40)
+    C = problems.random_rhs(A.n, 3, seed=0)
+    inner = InnerSolverConfig(kind="block-cg", tol=1e-8)
+    (_, report), peak = _traced_peak(lambda: eksm_lyap(A, C, inner, 1e-6, 96))
+    assert report.converged and report.basis_dim >= 48
+    budget = 8 * report.n * (2 * report.memmax + 13 * report.s)
+    assert peak <= budget, (
+        f"peak {peak / (8 * report.n):.1f} n-columns > budget {budget / (8 * report.n):.1f}"
+    )
+
+
 @pytest.mark.parametrize("delta", [1.0, 1e-9])
 def test_orthonormalize_block_holds_one_scratch_block(delta):
     # beyond W, one block step may hold one n x s scratch block, its k x s

@@ -134,6 +134,47 @@ def test_transpose():
     assert np.array_equal(At.to_dense(), M.T)
 
 
+_NONSYMMETRIC = [lambda: problems.convdiff_3d(6, 0.01, "wB"),
+                 lambda: SparseOperator.from_dense(random_sparse(rng_for(21), 40))]
+
+
+@pytest.mark.parametrize("build", _NONSYMMETRIC, ids=["convdiff3d", "random"])
+def test_transpose_reports_csr_arrays_and_round_trips(tmp_path, build):
+    A = build()
+    At = A.transpose()
+    ref = SparseOperator.from_dense(A.to_dense().T)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(At, name), getattr(ref, name)), name
+    path = os.path.join(tmp_path, "at.mtx")
+    write_matrix_market(At, path)
+    back = read_matrix_market(path)
+    assert not back.symmetric
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(back, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("build", _NONSYMMETRIC, ids=["convdiff3d", "random"])
+def test_transpose_shares_the_operators_arrays(build):
+    A = build()
+    Att = A.transpose().transpose()
+    for name in ("indptr", "indices", "data"):
+        assert np.shares_memory(getattr(Att, name), getattr(A, name)), name
+    assert np.array_equal(Att.to_dense(), A.to_dense())
+
+
+@pytest.mark.parametrize("width", [1, 3, 18])
+@pytest.mark.parametrize("build", _NONSYMMETRIC, ids=["convdiff3d", "random"])
+def test_transpose_products_match_a_csr_copy_bitwise(build, width):
+    A = build()
+    At = A.transpose()
+    copy = SparseOperator(At.n, At.indptr, At.indices, At.data)
+    V = np.asfortranarray(rng_for(22).standard_normal((A.n, width)))
+    assert np.array_equal(spmm(At, V, OpCounter()), spmm(copy, V, OpCounter()))
+    assert np.array_equal(At.apply(V), copy.apply(V))
+    rows = slice(A.n // 3, A.n // 3 + 17)
+    assert np.array_equal(At.apply_rows(V, rows), copy.apply_rows(V, rows))
+
+
 def test_operator_is_immutable():
     A = SparseOperator.identity(3)
     with pytest.raises(AttributeError):
