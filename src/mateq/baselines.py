@@ -45,7 +45,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arnoldi import arnoldi_extend, arnoldi_init
-from .compression import LowRankFactorPair, SymLowRankFactor, TruncationRule, _eig_by_magnitude
+from .compression import (SymLowRankFactor, TruncationRule, _balanced, _eig_by_magnitude,
+                          _svd_by_magnitude)
 from .dense_eq import ProjectedLyapunov, solve_lyapunov_ldlt, solve_sylvester_dense
 from .errors import (
     IndefiniteOperatorError,
@@ -55,7 +56,7 @@ from .errors import (
     RankDeficientBlockError,
 )
 from .linalg import _cholesky_factors, _cholesky_qr, orthonormalize_block, qr_economy
-from .restarted import _as_blocks, _factor_pair, _new_report
+from .restarted import _as_blocks, _new_report
 from .residuals import _row_slices, residual_norm_lyap, true_residual_lyap, true_residual_sylv
 from .sparse import OpCounter, estimate_norm2, spmm
 
@@ -362,17 +363,17 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
         tols.append(_relaxed_tol(inner.tol, tol_res, r))
         ba.extend(tols[-1])
         bb.extend(tols[-1])
-    YL, YR = _factor_pair(Y, _solution_rule(tol_res, norm_a, norm_b))
+    U, sig, V = _svd_by_magnitude(Y, _solution_rule(tol_res, norm_a, norm_b))
     report.iterations = len(report.residual_history) - 1  # extensions after the first residual
     report.basis_dim = ba.dim
     report.peak_live_columns = ba.dim + bb.dim
     UA, UB = ba.U, bb.U
     ba = bb = None  # release both images AU before the factors allocate
-    XL = UA @ YL
+    XL = UA @ U
     UA = None  # and each basis once its factor is formed
-    XR = UB @ YR
+    XR = UB @ V
     UB = None
-    fac = LowRankFactorPair(XL, XR)
+    fac = _balanced(XL, sig, XR)
     report.finish(fac.rank, true_residual_sylv(A, B, C, D, fac.C, fac.D, "frobenius"),
                   {"A": cnt_a, "B": cnt_b}, t0)
     return fac, report

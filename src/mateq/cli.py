@@ -48,7 +48,6 @@ def _build_parser():
         sp.add_argument("--problem", required=True, choices=["laplacian2d", "convdiff3d", "file"])
         sp.add_argument("--n", type=int, default=0, help="grid points per direction")
         sp.add_argument("--eps", type=float, default=0.01, help="convdiff3d viscosity")
-        sp.add_argument("--field", default="wA", choices=["wA", "wB", "none"])
         sp.add_argument("--a-file", help="operator file for --problem file")
         sp.add_argument("--b-file", help="second operator file (Sylvester form)")
         sp.add_argument("--s", type=int, default=3, help="right-hand-side block width")
@@ -60,6 +59,8 @@ def _build_parser():
 
     g = sub.add_parser("gen", help="write generated operator/right-hand side")
     add_problem_flags(g)
+    g.add_argument("--field", default="wA", choices=["wA", "wB", "none"],
+                   help="convdiff3d velocity field (solvers always get the wA/wB pair)")
     g.add_argument("--out", required=True, help="operator output path (.mtx)")
     g.add_argument("--rhs-out", help="also write the random right-hand side here")
 

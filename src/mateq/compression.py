@@ -28,7 +28,9 @@ decompose the small core, truncate) followed by the products that form the
 output.  For two-sided products the coefficient step is a function of its
 own, :func:`_truncated_svd`, which leaves each output factor in coefficient
 space: ``restarted_sylv`` forms each side of its restart residual just
-before it releases that side's Arnoldi basis.
+before it releases that side's Arnoldi basis.  Factors stay orthonormal,
+with singular values or eigenvalues held apart, until a solver returns; only
+:func:`_balanced` scales factors by the values' square roots.
 
 Truncation rules: under the ``spectral`` rule every discarded singular value
 (eigenvalue magnitude) is below the tolerance; under the ``frobenius`` rule
@@ -206,6 +208,13 @@ def _balanced(U, sig, V):
     return LowRankFactorPair(U, V)
 
 
+def _svd_by_magnitude(M, rule):
+    """Truncated SVD of a small matrix: orthonormal ``U`` and ``V`` and the kept sigma."""
+    U, sig, Vt = svd(M)
+    keep = _keep_count(sig, rule)
+    return U[:, :keep].copy(), sig[:keep], Vt[:keep].T.copy()  # copies: the full factors die
+
+
 def _truncated_svd(pair, rule):
     """Coefficient step of :func:`compress` for a ``(left, right)`` BasisFactor tuple.
 
@@ -220,10 +229,8 @@ def _truncated_svd(pair, rule):
     left, right = pair
     Qc, Uc, Tc = _orthonormalize(left)
     Qd, Ud, Td = _orthonormalize(right)
-    U, sig, Vt = svd(Tc @ Td.T)
-    keep = _keep_count(sig, rule)
-    return (BasisFactor(left.Q, Qc, Uc @ U[:, :keep]), sig[:keep],
-            BasisFactor(right.Q, Qd, Ud @ Vt[:keep].T))
+    U, sig, V = _svd_by_magnitude(Tc @ Td.T, rule)
+    return BasisFactor(left.Q, Qc, Uc @ U), sig, BasisFactor(right.Q, Qd, Ud @ V)
 
 
 def compress(pair, rule):

@@ -55,18 +55,26 @@ def _as_matrix(M, name="matrix"):
     return M
 
 
+def _pow2_scaled(M):
+    """``(M * 2**-e, e)`` with ``2**e`` the power of two nearest above ``max|M|``.
+
+    The scaling is exact, so norms and products of the scaled array neither
+    underflow nor overflow where ``M``'s would; a zero ``M`` comes back with
+    ``e = 0``.
+    """
+    top = np.abs(M).max(initial=0.0)
+    exp = int(np.frexp(top)[1]) if top > 0.0 else 0
+    return np.ldexp(M, -exp), exp
+
+
 def check_symmetric(M, name="matrix"):
     """Raise ``ValueError`` if ``||M - M.T||_F`` exceeds ``1e-12 * ||M||_F``.
 
-    Both norms are taken of ``M`` scaled by the power of two nearest above
-    ``max|M|``, exactly, so they neither underflow nor overflow at extreme
+    Both norms are taken of ``M`` scaled exactly by a power of two
+    (:func:`_pow2_scaled`), so they neither underflow nor overflow at extreme
     scales; a zero matrix is symmetric.
     """
-    top = np.abs(M).max(initial=0.0)
-    if top == 0.0:
-        return
-    exp = np.frexp(top)[1]
-    Ms = np.ldexp(M, -exp)
+    Ms, exp = _pow2_scaled(M)
     nrm = np.linalg.norm(Ms)
     asym = np.linalg.norm(Ms - Ms.T)
     if asym > 1e-12 * nrm:

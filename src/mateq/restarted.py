@@ -11,12 +11,13 @@ solution factors are compressed after every cycle as well.
 Both compressions run in coefficient space (:class:`BasisFactor`).  The
 residual factor ``[U_{m+1} H_{m+1,m}, V_m Y]`` is a small coefficient matrix
 on the orthonormal basis ``[V_m, U_{m+1}]``, so it needs no tall QR; only
-after a happy breakdown is the remainder block orthogonalized.  The running
-solution is kept with orthonormal factors (``XL`` and a diagonal middle for
-Lyapunov, ``QL diag(sig) QR*`` for Sylvester, square-root balanced only on
-return), so each update orthogonalizes just the new columns ``V_m W``; the
-compressed residual factors are orthonormal too and start the next cycle
-without a QR.  ``restarted_lyap`` on an operator flagged symmetric solves
+after a happy breakdown is the remainder block orthogonalized.  Both drivers
+keep factors orthonormal, with eigenvalues or singular values held apart as a
+vector (``XL diag(lx) XL*``, ``QL diag(sig) QR*``), until ``restarted_sylv``
+returns through :func:`compression._balanced`.  So each update's new columns
+``V_m W`` are orthonormal, and the compressed restart residual starts the
+next cycle's bases without a QR (``r0 = I``), its values in the projected
+right-hand side.  ``restarted_lyap`` on an operator flagged symmetric solves
 with the exactly symmetric ``0.5 (H + H.T)`` (the eigh route).  Its inner
 steps take from :class:`dense_eq.ProjectedLyapunov` only the last block row
 of the projected solution, which is all the cheap residual reads; the whole
@@ -56,7 +57,7 @@ from .compression import (
     _balanced,
     _combine,
     _eig_by_magnitude,
-    _keep_count,
+    _svd_by_magnitude,
     _truncated_svd,
     compress,
     compress_sym,
@@ -64,7 +65,6 @@ from .compression import (
 # solve_lyapunov_ldlt is not called here; bench/spans.py traces it under this module's name
 from .dense_eq import ProjectedLyapunov, solve_lyapunov_ldlt, solve_sylvester_dense  # noqa: F401
 from .errors import DimensionMismatchError, MemoryBudgetError
-from .linalg import svd
 from .residuals import (
     _norm,
     explicit_residual_lyap,
@@ -324,14 +324,6 @@ def _new_report(solver, C, D, norm_a, norm_b, tol_res=None, memmax=None, config=
     return report
 
 
-def _factor_pair(Y, rule):
-    """Truncated SVD split Y ~= YL @ YR.T with square-root balancing."""
-    U, sig, Vt = svd(Y)
-    keep = _keep_count(sig, rule)
-    root = np.sqrt(sig[:keep])
-    return U[:, :keep] * root, Vt[:keep].T * root
-
-
 def _in_basis(basis, W):
     """``basis @ W``, Fortran-ordered so that compression orthonormalizes it in place."""
     return np.matmul(basis, W, out=np.empty((basis.shape[0], W.shape[1]), order="F"))
@@ -379,7 +371,8 @@ def restarted_sylv(A, B, C, D, config, verify=False):
     QR = np.zeros((n, 0))
     sig = np.zeros(0)
     Ck, Dk = C, D
-    R0k = None  # restart blocks Ck diag(sqrt(sig_res)) come back with orthonormal Ck
+    R0k = None  # restart blocks come back orthonormal: R = I
+    mid = 1.0  # the restart residual Ck diag(sig_res) Dk*, sig_res held apart
 
     for _ in range(config.k_max + 1):
         sk = Ck.shape[1]
@@ -390,7 +383,7 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         dec_a = arnoldi_init(A, Ck, cnt_a, max_steps=mk, r0=R0k)
         dec_b = arnoldi_init(Bt, Dk, cnt_b, max_steps=mk, r0=R0k)
         Ck = Dk = None  # copied into the bases
-        rhs_core = dec_a.r0 @ dec_b.r0.T
+        rhs_core = (dec_a.r0 * mid) @ dec_b.r0.T
         for _ in range(mk):
             arnoldi_extend(dec_a)
             arnoldi_extend(dec_b)
@@ -418,15 +411,14 @@ def restarted_sylv(A, B, C, D, config, verify=False):
                  _residual_factor(dec_b, Y[-sk:, :].T, boundary_first=False)),
                 rule_res,
             )
-        YL, YR = _factor_pair(Y, rule_sol)
+        UY, sig_y, VY = _svd_by_magnitude(Y, rule_sol)
         # release each basis once its new solution columns and its restart
         # block are formed: the solution update does not read it
-        left = BasisFactor(QL, _in_basis(dec_a.basis, YL),
-                           np.diag(np.r_[sig, np.ones(YL.shape[1])]))
+        left = BasisFactor(QL, _in_basis(dec_a.basis, UY), np.diag(np.r_[sig, sig_y]))
         if not done:
             Ck = _combine(res_a)
         dec_a = res_a = None
-        right = BasisFactor(QR, _in_basis(dec_b.basis, YR), np.eye(sig.size + YR.shape[1]))
+        right = BasisFactor(QR, _in_basis(dec_b.basis, VY), np.eye(sig.size + sig_y.size))
         if not done:
             Dk = _combine(res_b)
         dec_b = res_b = None
@@ -439,7 +431,7 @@ def restarted_sylv(A, B, C, D, config, verify=False):
             )
         if done:
             break
-        R0k = np.diag(np.sqrt(sig_res))
+        R0k, mid = np.eye(sig_res.size), sig_res
         report.residual_ranks.append(Ck.shape[1])
 
     sol = _balanced(QL, sig, QR)  # in place: no second copy of the factors
@@ -470,8 +462,9 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
     rule_res = TruncationRule(report.tol_comp_res, config.norm)
     report.min_eigenvalues = []
 
+    # running solution XL diag(lx) XL* with orthonormal XL
     XL = np.zeros((n, 0))
-    SX = np.zeros((0, 0))
+    lx = np.zeros(0)
     res = SymLowRankFactor(C, np.eye(s))  # the residual C S C* that the next cycle starts from
     R0k = None  # restart blocks come back orthonormal: R = I
 
@@ -495,7 +488,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
             report.residual_history.append(r)
             if verify:
                 Y = proj.solution()
-                Xacc = XL @ SX @ XL.T + dec.basis @ Y @ dec.basis.T
+                Xacc = (XL * lx) @ XL.T + dec.basis @ Y @ dec.basis.T
                 report.explicit_history.append(
                     explicit_residual_lyap(A, C, Xacc, config.norm)
                 )
@@ -513,18 +506,16 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
                 (_residual_factor(dec, Y[:, -sk:], boundary_first=True), swap), rule_res
             )
         WY, lam = _eig_by_magnitude(Y, rule_sol)
-        update = BasisFactor(XL, _in_basis(dec.basis, WY), np.eye(XL.shape[1] + lam.size))
+        update = BasisFactor(XL, _in_basis(dec.basis, WY), np.eye(lx.size + lam.size))
         dec = None  # release the basis: the solution update does not read it
-        sol = compress_sym((update, np.diag(np.r_[np.diagonal(SX), lam])), rule_sol)
+        sol = compress_sym((update, np.diag(np.r_[lx, lam])), rule_sol)
         update = None  # the previous factor and the new columns go with it
-        XL, SX = sol.C, sol.S
-        report.solution_ranks.append(XL.shape[1])
-        report.min_eigenvalues.append(
-            float(np.diagonal(SX).min()) if SX.size else 0.0
-        )
+        XL, lx = sol.C, np.diagonal(sol.S)
+        report.solution_ranks.append(lx.size)
+        report.min_eigenvalues.append(float(lx.min()) if lx.size else 0.0)
         if verify:
             report.cycle_explicit_residuals.append(
-                explicit_residual_lyap(A, C, XL @ SX @ XL.T, config.norm)
+                explicit_residual_lyap(A, C, (XL * lx) @ XL.T, config.norm)
             )
         if done:
             break
@@ -532,12 +523,12 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         report.residual_ranks.append(res.rank)
 
     if project_spsd:
-        # XL is orthonormal and SX diagonal: the nearest SPSD matrix keeps the
-        # columns with a positive diagonal entry (compression.psd_project)
-        keep = np.diagonal(SX) > 0
-        XL, SX = XL[:, keep], np.diag(np.diagonal(SX)[keep])
-    final = SymLowRankFactor(XL, SX)
+        # XL is orthonormal: the nearest SPSD matrix keeps the columns with a
+        # positive eigenvalue (compression.psd_project)
+        keep = lx > 0
+        XL, lx = XL[:, keep], lx[keep]
+    final = SymLowRankFactor(XL, np.diag(lx))
     _close_run(report)
-    report.finish(XL.shape[1], true_residual_lyap(A, C, XL, SX, config.norm),
+    report.finish(final.rank, true_residual_lyap(A, C, final.C, final.S, config.norm),
                   {"A": cnt_a}, t0)
     return final, report

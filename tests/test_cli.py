@@ -138,6 +138,25 @@ def test_malformed_flags_exit_one(capsys):
     assert run(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("command", [["solve", "--solver", "restarted-sylv"],
+                                     ["compare", "--solvers", "restarted-sylv"]])
+def test_field_is_a_gen_flag_only(capsys, command):
+    # solvers always get the wA/wB pair, so a --field here would be ignored
+    code = run([*command, "--problem", "convdiff3d", "--n", "3", "--field", "none"])
+    assert code == 1
+    assert "unrecognized arguments: --field none" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--problem", "laplacian2d", "--n", "1"], "laplacian2d needs --n >= 2"),
+    (["--problem", "convdiff3d", "--n", "1"], "convdiff3d needs --n >= 2"),
+    (["--problem", "file"], "--problem file requires --a-file"),
+], ids=["laplacian-n", "convdiff-n", "no-a-file"])
+def test_problem_flags_are_checked(capsys, flags, message):
+    assert run(["solve", *flags, "--solver", "restarted-sylv"]) == 1
+    assert f"mateq: error: {message}" in capsys.readouterr().err
+
+
 def test_compare_table(tmp_path):
     out = str(tmp_path / "table.csv")
     code = run(["compare", "--problem", "laplacian2d", "--n", "8", "--s", "2",
@@ -214,6 +233,14 @@ def test_second_operator_file_makes_a_sylvester_problem(tmp_path, solver):
         assert code == 0
         rep = json.load(open(rep_path))
         assert rep["counters"]["B"]["a_calls"] > 0
+
+
+def test_block_cg_rejects_a_nonsymmetric_lyapunov_file(tmp_path, capsys):
+    paths = _convdiff_files(tmp_path)
+    code = run(["solve", "--problem", "file", "--a-file", paths["A"], "--c-file", paths["C"],
+                "--solver", "eksm-bcg", "--memmax", "60"])
+    assert code == 1
+    assert "eksm-bcg needs a symmetric (positive definite) operator" in capsys.readouterr().err
 
 
 def test_sylvester_solver_on_one_operator_uses_its_transpose(tmp_path):

@@ -88,6 +88,15 @@ def test_sylvester_rejects_a_bad_solve(monkeypatch, bad, match):
         solve_sylvester_dense(-np.eye(2), -np.eye(3), np.ones((2, 3)))
 
 
+def test_sylvester_reports_lapack_failure(monkeypatch):
+    def fail(H, G, F):
+        raise np.linalg.LinAlgError("no luck")
+
+    monkeypatch.setattr(scipy.linalg, "solve_sylvester", fail)
+    with pytest.raises(SingularOperatorError, match="Bartels-Stewart solve failed: no luck"):
+        solve_sylvester_dense(-np.eye(2), -np.eye(3), np.ones((2, 3)))
+
+
 @pytest.mark.parametrize("k, l", [(0, 2), (3, 0)])
 def test_sylvester_empty_right_hand_side(k, l):
     Y = solve_sylvester_dense(-np.eye(k), -np.eye(l), np.zeros((k, l)))
@@ -290,6 +299,11 @@ def test_kron_self_check_by_substitution():
 def test_kron_scale_guard():
     with pytest.raises(ValueError):
         kron_oracle(np.eye(65), np.eye(2), np.ones((65, 2)))
+
+
+def test_kron_shape_check():
+    with pytest.raises(DimensionMismatchError, match=r"incompatible shapes A\(2, 2\), B\(3, 3\)"):
+        kron_oracle(np.eye(2), np.eye(3), np.ones((3, 2)))
 
 
 def test_kron_singular():

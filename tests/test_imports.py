@@ -1,6 +1,6 @@
-"""No package module imports a name it does not use.
+"""No package module imports a name it does not use or defines a private name nobody reads.
 
-No linter ships with the project, so this test is the unused-import check.
+No linter ships with the project, so this file is the unused-import check.
 ``__init__.py`` is left out: its imports are the public re-exports.  The only
 exemptions are the ``(module, name)`` pairs the benchmark's tracer patches
 (``bench/spans.py``'s ``PATCHES``): a module may import a name only so that
@@ -12,7 +12,8 @@ from pathlib import Path
 
 from test_bench_spans import _load_spans
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mateq"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mateq"
 
 
 def _unused_imports(path):
@@ -40,3 +41,36 @@ def test_no_module_imports_an_unused_name(monkeypatch):
         if (f"mateq.{path.stem}", name) not in traced
     ]
     assert unused == []
+
+
+def _module_private_names(tree):
+    """Private names a module binds at its top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _read_names(tree):
+    """Names a file reads, bare or as an attribute."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_private_module_name_is_read():
+    """A private helper that no code in src, tests or bench reads is dead weight."""
+    sources = [path for folder in (PACKAGE, ROOT / "tests", ROOT / "bench")
+               for path in folder.glob("*.py")]
+    read = set().union(*(_read_names(ast.parse(p.read_text(), filename=str(p))) for p in sources))
+    defined = {
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _module_private_names(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert len(defined) > 40  # the walk found the package's helpers
+    assert sorted(d for d in defined if d.split(":")[1] not in read) == []

@@ -3,7 +3,7 @@ import pytest
 
 from mateq import eig_sym, linalg, qr_economy, svd
 from mateq.linalg import _fix_vector_signs, check_symmetric, orthonormalize_block
-from mateq.errors import DimensionMismatchError
+from mateq.errors import DimensionMismatchError, NonConvergenceError
 
 from conftest import rng_for
 
@@ -133,6 +133,26 @@ def test_eig_sym_trace_invariance():
 def test_eig_sym_rejects_asymmetric():
     with pytest.raises(ValueError):
         eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_kernels_reject_bad_shapes():
+    with pytest.raises(DimensionMismatchError, match=r"square matrix, got \(2, 3\)"):
+        eig_sym(np.ones((2, 3)))
+    with pytest.raises(DimensionMismatchError, match=r"M must be 2-dimensional, got shape \(3,\)"):
+        svd(np.ones(3))
+
+
+@pytest.mark.parametrize("kernel,lapack,message", [
+    (svd, "svd", "SVD did not converge: no luck"),
+    (eig_sym, "eigh", "symmetric eigensolver did not converge: no luck"),
+])
+def test_kernels_report_lapack_failure(monkeypatch, kernel, lapack, message):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no luck")
+
+    monkeypatch.setattr(np.linalg, lapack, fail)
+    with pytest.raises(NonConvergenceError, match=message):
+        kernel(np.eye(2))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-60, 1e60, 1e-200, 1e200])

@@ -5,6 +5,7 @@ from mateq import (
     SolverConfig,
     SparseOperator,
     dense_eq,
+    estimate_norm2,
     eval_error_bound_normal,
     eval_residual_bound,
     kron_oracle,
@@ -380,3 +381,35 @@ def test_verify_mode_is_limited_to_small_n():
         restarted_lyap(A, C, cfg, verify=True)
     with pytest.raises(ValueError, match="verify mode"):
         restarted_sylv(A, A, C, C, cfg, verify=True)
+
+
+def test_sylv_solution_update_columns_are_orthonormal(monkeypatch):
+    """Each cycle's new columns V_m W reach compression orthonormal, sigma held apart."""
+    seen = []
+    compress = restarted.compress
+
+    def spy(pair, rule):
+        seen.extend(f.Z.copy() for f in pair)  # compression overwrites Z
+        return compress(pair, rule)
+
+    monkeypatch.setattr(restarted, "compress", spy)
+    rng = rng_for(3)
+    n, s = 40, 2
+    Ad, Bd = spd_dense(rng, n, 0.3), spd_dense(rng, n, 0.3)
+    C, D = rng.standard_normal((n, s)), rng.standard_normal((n, s))
+    cfg = SolverConfig(memmax=40, tol_res=1e-11, tol_comp=1e-12, tol_comp_res=1e-4, k_max=30)
+    pair, rep = restarted_sylv(as_op(Ad), as_op(Bd), C, D, cfg)
+    assert rep.restarts >= 2 and len(seen) == 2 * (rep.restarts + 1)
+    for Z in seen:
+        assert np.linalg.norm(Z.T @ Z - np.eye(Z.shape[1])) <= 1e-12
+
+
+def test_restarted_lyap_at_a_huge_operator_scale():
+    """||A|| near 1e153: the norm estimate, and with it tol_comp, keeps its scale."""
+    L = laplacian_2d(10)
+    A = SparseOperator(L.n, L.indptr, L.indices, L.data * 1e150, symmetric=True)
+    C = random_rhs(L.n, 2, seed=0, normalize=True) * 1e75
+    fac, rep = restarted_lyap(A, C, SolverConfig(memmax=40, tol_res=1e-6 * 1e150))
+    assert rep.norm_estimate_a == pytest.approx(1e150 * estimate_norm2(L), rel=1e-12)
+    assert rep.converged and fac.rank > 0
+    assert rep.true_relative_residual <= 1e-6

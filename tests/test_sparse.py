@@ -206,6 +206,20 @@ def test_estimate_norm2_zero():
     assert estimate_norm2(A) == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e160, 1e300])
+def test_estimate_norm2_is_scale_safe(scale):
+    """Unscaled dot products would under- or overflow here and return 0.0 or nan."""
+    est = estimate_norm2(SparseOperator.identity(8, scale))
+    assert est == pytest.approx(scale, rel=1e-14, abs=0)
+
+
+def test_from_dense_rejects_bad_input():
+    with pytest.raises(DimensionMismatchError, match="operator must be square"):
+        SparseOperator.from_dense(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="operator entries must be finite"):
+        SparseOperator.from_dense(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
 @pytest.mark.parametrize("iters", [0, -1])
 def test_estimate_norm2_needs_a_step(iters):
     with pytest.raises(ValueError, match="iters must be >= 1"):
@@ -296,6 +310,14 @@ def test_mm_rejects_malformed_body(tmp_path, read, text):
         fh.write(text)
     with pytest.raises(ValueError):
         read(path)
+
+
+def test_dense_reader_rejects_a_coordinate_file(tmp_path):
+    path = os.path.join(tmp_path, "sparse.mtx")
+    with open(path, "w") as fh:
+        fh.write(_COO + "2 2 1\n1 1 1.0\n")
+    with pytest.raises(ValueError, match="expected array format, got 'coordinate'"):
+        read_dense_matrix_market(path)
 
 
 # what the reader accepts on purpose (mmio's docstring): scipy's leniency, pinned
