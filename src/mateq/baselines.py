@@ -32,11 +32,11 @@ quality of that space, that is, more outer steps.
 coefficients: pass one runs a block Lanczos three-term recurrence keeping
 three live blocks and monitors the cheap residual; pass two regenerates the
 basis to assemble the solution factor, roughly doubling the operator calls
-but never storing the basis.  Pass one's block tridiagonal H grows inside a
-buffer that doubles when full, and each step's projected solve
-(:class:`dense_eq.ProjectedLyapunov`) yields only the last block row of the
-solution, the part the cheap residual reads; the full projected solution is
-formed and checked once, when pass one stops.
+but never storing the basis.  Pass one's block tridiagonal H is a plain
+array that each step grows by one block row and column, and each step's
+projected solve (:class:`dense_eq.ProjectedLyapunov`) yields only the last
+block row of the solution, the part the cheap residual reads; the full
+projected solution is formed and checked once, when pass one stops.
 """
 
 import time
@@ -379,15 +379,6 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
     return fac, report
 
 
-def _with_room(buf, k):
-    """``buf`` if it holds a k x k block, else a zero buffer of twice k's size holding ``buf``."""
-    if k <= buf.shape[0]:
-        return buf
-    grown = np.zeros((2 * k, 2 * k))
-    grown[: buf.shape[0], : buf.shape[1]] = buf
-    return grown
-
-
 def sksm_two_pass(A, C, tol_res, max_m, verify=False):
     """Two-pass block Lanczos solver for A X + X A* + C C* = 0, A symmetric.
 
@@ -422,15 +413,15 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
         return Qn, alpha, beta
 
     U1, R0 = qr_economy(C)
-    Hbuf = np.zeros((0, 0))  # H is its leading k x k block
+    H = np.zeros((0, 0))
     U_prev, U_cur = None, U1
     beta_prev = None
-    for j in range(1, max_m + 1):
+    for _ in range(max_m):
         Qn, alpha, beta = lanczos_step(U_prev, U_cur, beta_prev)
         proj = None  # free the last step's k x k arrays before the next solve
-        k = j * s
-        Hbuf = _with_room(Hbuf, k)
-        H = Hbuf[:k, :k]
+        grown = np.zeros((H.shape[0] + s,) * 2)  # one more block row and column
+        grown[:-s, :-s] = H
+        H = grown
         H[-s:, -s:] = alpha
         if beta_prev is not None:
             H[-s:, -2 * s : -s] = beta_prev
@@ -442,7 +433,7 @@ def sksm_two_pass(A, C, tol_res, max_m, verify=False):
             break
         U_prev, U_cur, beta_prev = U_cur, Qn, beta
     Y = proj.solution()
-    proj = H = Hbuf = None
+    proj = H = grown = None
     report.iterations = m = len(report.residual_history)
 
     WY, lam = _eig_by_magnitude(Y, _solution_rule(tol_res, norm_a, norm_a))

@@ -81,20 +81,25 @@ def _build_parser():
 
 
 def _add_solver_flags(sp):
-    sp.add_argument("--memmax", type=int, default=96, help="basis-column budget")
+    sp.add_argument("--memmax", type=int, default=96,
+                    help="basis-column budget of the restarted solvers; EKSM's max_dim "
+                         "(halved per basis for Sylvester); unused by sksm-two-pass")
     sp.add_argument("--tol-res", type=float, default=1e-6)
     sp.add_argument("--tol-comp", type=float, default=None,
-                    help="compression tolerance (default: auto rule)")
-    sp.add_argument("--max-restarts", type=int, default=100)
+                    help="compression tolerance of the restarted solvers (default: auto rule)")
+    sp.add_argument("--max-restarts", type=int, default=100,
+                    help="restart cap of the restarted solvers")
     sp.add_argument("--max-iters", type=int, default=1000, help="cap for sksm-two-pass")
-    sp.add_argument("--norm", default="fro", choices=list(_NORMS))
+    sp.add_argument("--norm", default="fro", choices=list(_NORMS),
+                    help="residual norm of the restarted solvers (the others use fro)")
     sp.add_argument("--inner-tol", type=float, default=1e-8,
                     help="floor of the EKSM inner-solve tolerance, which relaxes "
                          "as the outer residual falls (at most 0.1)")
     sp.add_argument("--verify", action="store_true",
-                    help="cross-check with dense residuals (small n only)")
+                    help="restarted solvers: dense residual check at every step (n <= 2000); "
+                         "sksm-two-pass: orthogonality check at the end (any n); eksm-*: unused")
     sp.add_argument("--psd-project", action="store_true",
-                    help="project the final Lyapunov solution onto the SPSD cone")
+                    help="project restarted-lyap's final solution onto the SPSD cone")
 
 
 def _build_problem(args, single=False):

@@ -21,10 +21,13 @@ holds a few n-columns and a few width-squared blocks per tree level, never
 the ``2 r + s`` stacked full-length columns.  Operator applications here
 are diagnostic and not charged to any counter.  ``explicit_residual_*``
 form the dense residual outright and are meant for small-n verification
-only.
+only.  Each R, like every norm's argument here, is scaled by an exact power
+of two first, so no square under- or overflows.
 """
 
 import numpy as np
+
+from .linalg import _pow2_scaled
 
 __all__ = [
     "residual_norm_sylv",
@@ -44,13 +47,15 @@ _SLICE_ASPECT = 4
 
 
 def _norm(M, norm):
+    """``||M||``, taken of ``M`` scaled by a power of two so no square under- or overflows."""
+    Ms, exp = _pow2_scaled(M)
     if norm == "frobenius":
-        return float(np.linalg.norm(M))
-    if norm == "spectral":
-        if min(M.shape, default=0) == 0:
-            return 0.0
-        return float(np.linalg.norm(M, 2))
-    raise ValueError(f"unknown norm {norm!r}")
+        value = np.linalg.norm(Ms)
+    elif norm == "spectral":
+        value = np.linalg.norm(Ms, 2) if min(M.shape, default=0) else 0.0
+    else:
+        raise ValueError(f"unknown norm {norm!r}")
+    return float(np.ldexp(value, exp))
 
 
 def residual_norm_sylv(H_boundary, G_boundary, Y, norm="frobenius"):
@@ -64,7 +69,7 @@ def residual_norm_sylv(H_boundary, G_boundary, Y, norm="frobenius"):
     low = H_boundary @ Y[-sa:, :]
     right = Y[:, -sb:] @ G_boundary.T
     if norm == "frobenius":
-        return float(np.hypot(np.linalg.norm(low), np.linalg.norm(right)))
+        return float(np.hypot(_norm(low, norm), _norm(right, norm)))
     return max(_norm(low, norm), _norm(right, norm))
 
 
@@ -73,7 +78,7 @@ def residual_norm_lyap(H_boundary, Y, norm="frobenius"):
     s = H_boundary.shape[0]
     low = H_boundary @ Y[-s:, :]
     if norm == "frobenius":
-        return float(np.sqrt(2.0) * np.linalg.norm(low))
+        return float(np.sqrt(2.0) * _norm(low, norm))
     return _norm(low, norm)
 
 
@@ -112,24 +117,24 @@ def true_residual_sylv(A, B, C, D, XL, XR, norm="frobenius"):
     """||A X + X B + C D*|| for X = XL XR* via row-blocked stacked-factor QR."""
     Bt = B.transpose()
     width = 2 * XL.shape[1] + C.shape[1]
-    RL = _stacked_r(A.n, width,
-                    lambda rows: np.hstack([A.apply_rows(XL, rows), XL[rows], C[rows]]))
-    RR = _stacked_r(A.n, width,
-                    lambda rows: np.hstack([XR[rows], Bt.apply_rows(XR, rows), D[rows]]))
-    return _norm(RL @ RR.T, norm)
+    RL, el = _pow2_scaled(_stacked_r(
+        A.n, width, lambda rows: np.hstack([A.apply_rows(XL, rows), XL[rows], C[rows]])))
+    RR, er = _pow2_scaled(_stacked_r(
+        A.n, width, lambda rows: np.hstack([XR[rows], Bt.apply_rows(XR, rows), D[rows]])))
+    return float(np.ldexp(_norm(RL @ RR.T, norm), el + er))
 
 
 def true_residual_lyap(A, C, XL, S, norm="frobenius"):
     """||A X + X A* + C C*|| for X = XL S XL* via row-blocked stacked-factor QR."""
     r = XL.shape[1]
     s = C.shape[1]
-    R = _stacked_r(A.n, 2 * r + s,
-                   lambda rows: np.hstack([A.apply_rows(XL, rows), XL[rows], C[rows]]))
+    R, e = _pow2_scaled(_stacked_r(
+        A.n, 2 * r + s, lambda rows: np.hstack([A.apply_rows(XL, rows), XL[rows], C[rows]])))
     K = np.zeros((2 * r + s, 2 * r + s))
     K[:r, r : 2 * r] = S
     K[r : 2 * r, :r] = S
     K[2 * r :, 2 * r :] = np.eye(s)
-    return _norm(R @ K @ R.T, norm)
+    return float(np.ldexp(_norm(R @ K @ R.T, norm), 2 * e))
 
 
 def explicit_residual_sylv(A, B, C, D, X, norm="frobenius"):

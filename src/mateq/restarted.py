@@ -209,11 +209,20 @@ class SolveReport:
     def finish(self, solution_rank, true_residual, counters, t0):
         """Fill in the end-of-solve fields that every solver reports.
 
-        ``converged`` is decided here, from the last cheap residual.
+        ``converged`` is decided here, from the last cheap residual.  A
+        report with cycles also gets its totals over them and the
+        attainable-residual bound they imply (:func:`eval_residual_bound`).
         ``counters`` maps operator names to their :class:`OpCounter`;
         ``efficiency`` is A's matvecs per A-call and ``t0`` is the
         ``time.perf_counter()`` value at the start of the solve.
         """
+        if self.cycle_starts:
+            self.iterations = len(self.residual_history)
+            self.restarts = len(self.cycle_starts) - 1
+            self.residual_bound = eval_residual_bound(
+                self.tol_res, self.restarts, max(self.tol_comp, self.tol_comp_res),
+                self.norm_estimate_a, self.norm_estimate_b,
+            )
         self.final_residual = self.residual_history[-1] if self.residual_history else 0.0
         self.converged = bool(self.residual_history) and self.final_residual <= self.tol_res
         self.final_relative_residual = self._relative(self.final_residual)
@@ -226,6 +235,25 @@ class SolveReport:
         cnt_a = counters["A"]
         self.efficiency = cnt_a.matvecs / cnt_a.a_calls if cnt_a.a_calls else float("nan")
         self.wall_time_s = time.perf_counter() - t0
+
+    def open_cycle(self, sk, mk):
+        """Start the next cycle: residual rank ``sk``, step budget ``mk``."""
+        if mk < 1:
+            raise MemoryBudgetError(
+                f"cycle {len(self.cycle_starts)}: residual rank {sk} needs more than "
+                f"memmax = {self.memmax} columns"
+            )
+        self.cycle_budgets.append(mk)
+        self.cycle_starts.append(len(self.residual_history))
+
+    def close_cycle(self, live_columns):
+        """Record the inner iterations of the cycle just ended and its ``live_columns``.
+
+        A Krylov session's columns only grow within a cycle, so the count at
+        its end is the cycle's peak.
+        """
+        self.cycle_inner_iterations.append(len(self.residual_history) - self.cycle_starts[-1])
+        self.peak_live_columns = max(self.peak_live_columns, live_columns)
 
     def _relative(self, value):
         return value / self.rhs_norm if self.rhs_norm else float("nan")
@@ -268,34 +296,6 @@ def eval_error_bound_normal(tol_res, k_bar, tol_comp, re_lambda_a1, re_lambda_b1
 
 def _default_tol_comp(tol_res, k_max, norm_a, norm_b):
     return tol_res / ((k_max + 1) * (norm_a + norm_b + 1))
-
-
-def _open_cycle(report, sk, mk):
-    """Start the next cycle: residual rank ``sk``, step budget ``mk``."""
-    if mk < 1:
-        raise MemoryBudgetError(
-            f"cycle {len(report.cycle_starts)}: residual rank {sk} needs more than "
-            f"memmax = {report.memmax} columns"
-        )
-    report.cycle_budgets.append(mk)
-    report.cycle_starts.append(len(report.residual_history))
-
-
-def _close_cycle(report):
-    """Record how many inner iterations the cycle just ended took."""
-    report.cycle_inner_iterations.append(
-        len(report.residual_history) - report.cycle_starts[-1]
-    )
-
-
-def _close_run(report):
-    """Totals over all cycles, and the attainable-residual bound they imply."""
-    report.iterations = len(report.residual_history)
-    report.restarts = max(len(report.cycle_starts) - 1, 0)
-    report.residual_bound = eval_residual_bound(
-        report.tol_res, report.restarts, max(report.tol_comp, report.tol_comp_res),
-        report.norm_estimate_a, report.norm_estimate_b,
-    )
 
 
 def _new_report(solver, C, D, norm_a, norm_b, tol_res=None, memmax=None, config=None,
@@ -379,7 +379,7 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         if sk == 0:  # residual compressed away: nothing left to restart with
             break
         mk = config.memmax // (2 * sk) - 2
-        _open_cycle(report, sk, mk)
+        report.open_cycle(sk, mk)
         dec_a = arnoldi_init(A, Ck, cnt_a, max_steps=mk, r0=R0k)
         dec_b = arnoldi_init(Bt, Dk, cnt_b, max_steps=mk, r0=R0k)
         Ck = Dk = None  # copied into the bases
@@ -387,9 +387,6 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         for _ in range(mk):
             arnoldi_extend(dec_a)
             arnoldi_extend(dec_b)
-            report.peak_live_columns = max(
-                report.peak_live_columns, dec_a.materialized_columns + dec_b.materialized_columns
-            )
             ka, kb = dec_a.m * sk, dec_b.m * sk
             F = np.zeros((ka, kb))
             F[:sk, :sk] = rhs_core
@@ -403,7 +400,7 @@ def restarted_sylv(A, B, C, D, config, verify=False):
                 )
             if r <= config.tol_res or (dec_a.breakdown and dec_b.breakdown):
                 break
-        _close_cycle(report)
+        report.close_cycle(dec_a.materialized_columns + dec_b.materialized_columns)
         done = r <= config.tol_res
         if not done:  # the restart residual's factors, still in the bases
             res_a, sig_res, res_b = _truncated_svd(
@@ -435,7 +432,6 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         report.residual_ranks.append(Ck.shape[1])
 
     sol = _balanced(QL, sig, QR)  # in place: no second copy of the factors
-    _close_run(report)
     report.finish(sol.rank, true_residual_sylv(A, B, C, D, sol.C, sol.D, config.norm),
                   {"A": cnt_a, "B": cnt_b}, t0)
     return sol, report
@@ -473,13 +469,12 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         if sk == 0:  # residual compressed away: nothing left to restart with
             break
         mk = config.memmax // sk - 1
-        _open_cycle(report, sk, mk)
+        report.open_cycle(sk, mk)
         dec = arnoldi_init(A, res.C, cnt_a, max_steps=mk, r0=R0k)
         Dmid = res.S
         res = None  # its factor is copied into the basis
         for _ in range(mk):
             arnoldi_extend(dec)
-            report.peak_live_columns = max(report.peak_live_columns, dec.materialized_columns)
             proj = H = None  # free the last step's k x k arrays before the next solve
             # symmetric to roundoff for symmetric A; made exact, it takes the eigh route
             H = 0.5 * (dec.H + dec.H.T) if A.symmetric else dec.H
@@ -494,7 +489,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
                 )
             if r <= config.tol_res or dec.breakdown:
                 break
-        _close_cycle(report)
+        report.close_cycle(dec.materialized_columns)
         Y = proj.solution()
         proj = H = None
         done = r <= config.tol_res
@@ -528,7 +523,6 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         keep = lx > 0
         XL, lx = XL[:, keep], lx[keep]
     final = SymLowRankFactor(XL, np.diag(lx))
-    _close_run(report)
     report.finish(final.rank, true_residual_lyap(A, C, final.C, final.S, config.norm),
                   {"A": cnt_a}, t0)
     return final, report

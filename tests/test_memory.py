@@ -12,7 +12,9 @@ residual.  The measured ``c`` is about 1 to 3; the check allows 8.
 ``memmax``, for its preallocated basis and operator images.  The
 block Gram-Schmidt step that every Krylov basis grows by is held to one
 scratch block of its own size, and compression to its output plus one row
-slice of a product.
+slice of a product.  ``sksm_two_pass``'s first pass is held to terms in
+k^2 (its projected arrays, k the basis dimension) and n s (its three live
+Lanczos blocks).
 """
 
 import tracemalloc
@@ -23,10 +25,12 @@ import pytest
 from mateq import (
     InnerSolverConfig,
     SolverConfig,
+    baselines,
     eksm_lyap,
     problems,
     restarted_lyap,
     restarted_sylv,
+    sksm_two_pass,
 )
 from mateq.compression import (BasisFactor, LowRankFactorPair, SymLowRankFactor,
                                TruncationRule, compress, compress_sym)
@@ -131,6 +135,36 @@ def test_eksm_lyap_releases_images_before_the_solution_factor():
     assert peak <= budget, (
         f"peak {peak / (8 * report.n):.1f} n-columns > budget {budget / (8 * report.n):.1f}"
     )
+
+
+def test_sksm_first_pass_holds_its_projected_matrix_once(monkeypatch):
+    # the peak up to the end of pass one, read when the projected solution is
+    # factored.  63 steps of width 3 end at k = 189, one step past the size
+    # where a buffer that doubles when full grows from 186 to 378 rows: 4 k^2
+    # doubles for H alone.  Pass one holds H, the last step's eigh workspace
+    # and projected solution arrays (about 4.7 k^2 here) and its Lanczos
+    # blocks and right-hand side (a few n s).  The check allows 6 k^2 + 8 n s;
+    # the doubled buffer takes the peak to about 7.9 k^2 + 8 n s
+    A = problems.laplacian_2d(30)
+    C = problems.random_rhs(A.n, 3, seed=0)
+    marks = []  # bytes live before the solve, then the peak at pass one's end
+
+    def solve():
+        marks.append(tracemalloc.get_traced_memory()[0])
+        return sksm_two_pass(A, C, 1e-14, 63)
+
+    def at_pass_one_end(*args):
+        marks.append(tracemalloc.get_traced_memory()[1])
+        return factor(*args)
+
+    factor = baselines._eig_by_magnitude
+    monkeypatch.setattr(baselines, "_eig_by_magnitude", at_pass_one_end)
+    (_, report), _ = _traced_peak(solve)
+    assert not report.converged and report.iterations == 63 and len(marks) == 2
+    peak = marks[1] - marks[0]
+    k, ns = report.basis_dim, report.n * report.s
+    budget = 8 * (6 * k**2 + 8 * ns)
+    assert peak <= budget, f"pass one peak {peak / (8 * k**2):.2f} k^2 > {budget / (8 * k**2):.2f}"
 
 
 @pytest.mark.parametrize("delta", [1.0, 1e-9])

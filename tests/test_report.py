@@ -17,7 +17,7 @@ from mateq import (
     restarted_sylv,
     sksm_two_pass,
 )
-from mateq import arnoldi, baselines
+from mateq import arnoldi, baselines, restarted
 from mateq.errors import DimensionMismatchError
 
 LAP = laplacian_2d(10)
@@ -134,3 +134,22 @@ def test_every_solver_rejects_dimension_mismatch_before_any_product(monkeypatch,
         monkeypatch.setattr(module, "spmm", lambda *args: pytest.fail("product before check"))
     with pytest.raises(DimensionMismatchError, match="dimensions disagree"):
         SOLVERS[name](*MISMATCHES[case])
+
+
+@pytest.mark.parametrize("name", ["restarted-lyap", "restarted-sylv"])
+def test_cycle_close_records_the_per_step_peak_of_live_columns(monkeypatch, name):
+    # each cycle's sessions only grow, so the columns they hold when the cycle
+    # closes are the largest any of its steps held
+    held = []  # after each extension; restarted_sylv extends side A, then side B
+    extend = restarted.arnoldi_extend
+
+    def spy(dec):
+        out = extend(dec)
+        held.append(dec.materialized_columns)
+        return out
+
+    monkeypatch.setattr(restarted, "arnoldi_extend", spy)
+    _, rep = SOLVES[name]()
+    steps = held if name == "restarted-lyap" else [a + b for a, b in zip(held[::2], held[1::2])]
+    assert rep.restarts >= 1
+    assert rep.peak_live_columns == max(steps)

@@ -217,3 +217,29 @@ def test_row_blocked_true_residual_matches_references(monkeypatch, n, r, s, slic
         for ref in (_norm_of(RL @ RR.T, norm),
                     explicit_residual_sylv(A, B, C, D, XL @ XR.T, norm)):
             assert abs(got - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+@pytest.mark.parametrize("norm", ["frobenius", "spectral"])
+def test_residual_norms_keep_their_scale(scale, norm):
+    # unscaled squares of entries near 1e-170 underflow to 0 and near 1e170
+    # overflow to inf; each residual scales linearly with the coefficients
+    rng = rng_for(21)
+    n, s, r = 12, 2, 3
+    Ad, Bd = stable_dense(rng, n), stable_dense(rng, n)
+    C, D = rng.standard_normal((n, s)), rng.standard_normal((n, s))
+    XL, XR = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+    S = np.diag(rng.standard_normal(r))
+    Hb, Gb = rng.standard_normal((s, s)), rng.standard_normal((s, s))
+    Y = rng.standard_normal((3 * s, 3 * s))
+    root = np.sqrt(scale)
+    pairs = [
+        (residual_norm_sylv(Hb * scale, Gb * scale, Y, norm), residual_norm_sylv(Hb, Gb, Y, norm)),
+        (residual_norm_lyap(Hb * scale, Y, norm), residual_norm_lyap(Hb, Y, norm)),
+        (true_residual_sylv(as_op(Ad * scale), as_op(Bd * scale), C * root, D * root, XL, XR, norm),
+         true_residual_sylv(as_op(Ad), as_op(Bd), C, D, XL, XR, norm)),
+        (true_residual_lyap(as_op(Ad * scale), C * root, XL, S, norm),
+         true_residual_lyap(as_op(Ad), C, XL, S, norm)),
+    ]
+    for scaled, plain in pairs:
+        assert scaled == pytest.approx(scale * plain, rel=1e-12, abs=0)

@@ -413,3 +413,47 @@ def test_restarted_lyap_at_a_huge_operator_scale():
     assert rep.norm_estimate_a == pytest.approx(1e150 * estimate_norm2(L), rel=1e-12)
     assert rep.converged and fac.rank > 0
     assert rep.true_relative_residual <= 1e-6
+
+
+def test_restarted_lyap_at_a_tiny_operator_scale():
+    """||A|| near 1e-157: unscaled squares in the residual norms underflow to 0.0.
+
+    The cheap and the true residual would then read 0.0 and the run would
+    stop as converged while the rescaled problem's relative residual is
+    2.4e-2.  Taken of power-of-two-scaled arguments, the norms keep their
+    scale, and the true residual matches the dense one.
+    """
+    L = laplacian_2d(10)
+    A = SparseOperator(L.n, L.indptr, L.indices, L.data * 1e-160, symmetric=True)
+    C = random_rhs(L.n, 2, seed=0, normalize=True) * 1e-80
+    fac, rep = restarted_lyap(A, C, SolverConfig(memmax=40, tol_res=1e-166))
+    assert not (rep.converged and rep.true_residual == 0.0)
+    assert rep.final_residual > 0.0 and rep.true_residual > 0.0
+    # the dense residual of the problem scaled back by 1e160: A X + X A + C C*
+    # with A and C C* both of scale 1e-160 and X of scale one
+    X, Ld, C1 = fac.to_dense(), L.to_dense(), C * 1e80
+    dense = np.linalg.norm(Ld @ X + X @ Ld + C1 @ C1.T) * 1e-160
+    assert rep.true_residual == pytest.approx(dense, rel=1e-6)
+
+
+@pytest.mark.parametrize("grid, seeds", [(6, range(4)), (7, range(4)), (8, range(2))],
+                         ids=["grid6", "grid7", "grid8"])
+def test_error_bound_holds_against_the_oracle_on_laplacians(grid, seeds):
+    """``eval_error_bound_normal`` bounds the error of converged Laplacian solves.
+
+    A symmetric positive definite A is normal with ``Re lambda_1(A) =
+    lambda_min(A)``.  The runs alternate memmax 24 and 30, so some restart;
+    the worst error-to-bound ratio was 0.18.  Grid 8 (n = 64) takes two
+    seeds: its Kronecker oracle is a dense 4096 x 4096 solve.
+    """
+    A = laplacian_2d(grid)
+    Ad = A.to_dense()
+    lam_min = float(np.linalg.eigvalsh(Ad)[0])
+    for seed in seeds:
+        C = random_rhs(A.n, 2, seed=seed, normalize=True)
+        fac, rep = restarted_lyap(A, C, SolverConfig(memmax=(24, 30)[seed % 2], tol_res=1e-6))
+        assert rep.converged
+        bound = eval_error_bound_normal(rep.tol_res, rep.restarts,
+                                        max(rep.tol_comp, rep.tol_comp_res), lam_min, lam_min)
+        err = np.linalg.norm(fac.to_dense() - kron_oracle(Ad, Ad, C @ C.T))
+        assert err <= bound, f"grid {grid} seed {seed}: error {err:.3e} > bound {bound:.3e}"
