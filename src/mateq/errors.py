@@ -27,7 +27,3 @@ class MemoryExhaustedError(RuntimeError):
 
 class IndefiniteOperatorError(RuntimeError):
     """Block CG detected an indefinite coefficient matrix."""
-
-
-class LossOfOrthogonalityError(RuntimeError):
-    """Computed and actual residual norms diverge beyond tolerance."""

@@ -157,8 +157,10 @@ class SolveReport:
     ``within_residual_bound`` says whether the true residual stays within
     ``residual_bound`` (None for solvers that state no bound).  ``converged``
     says that the last cheap residual is at most ``tol_res``; :meth:`finish`
-    decides it from ``residual_history`` for every solver, so a restarted run
-    whose residual compresses to rank 0 before that stops unconverged.
+    decides it from ``residual_history`` for every solver.  A run that stops
+    before that (``k_max``, ``max_m``, a residual of rank 0, a spent budget)
+    returns its solution so far.  ``residual_gap`` is ``true_residual /
+    final_residual``, nan when the cheap residual is 0.
     ``inner_tolerances`` holds, for the extended Krylov solvers, the relaxed
     tolerance of each inner solve pair they ran, the first pair included
     (None for the other solvers).
@@ -189,6 +191,7 @@ class SolveReport:
     final_relative_residual: float = float("nan")
     true_residual: float = float("nan")
     true_relative_residual: float = float("nan")
+    residual_gap: float = float("nan")
     solution_rank: int = 0
     counters: dict = field(default_factory=dict)
     efficiency: float = float("nan")
@@ -209,9 +212,9 @@ class SolveReport:
     def finish(self, solution_rank, true_residual, counters, t0):
         """Fill in the end-of-solve fields that every solver reports.
 
-        ``converged`` is decided here, from the last cheap residual.  A
-        report with cycles also gets its totals over them and the
-        attainable-residual bound they imply (:func:`eval_residual_bound`).
+        ``converged`` and ``residual_gap`` are decided here, from the last
+        cheap residual.  A report with cycles also gets its totals over them
+        and the attainable-residual bound they imply (:func:`eval_residual_bound`).
         ``counters`` maps operator names to their :class:`OpCounter`;
         ``efficiency`` is A's matvecs per A-call and ``t0`` is the
         ``time.perf_counter()`` value at the start of the solve.
@@ -229,6 +232,7 @@ class SolveReport:
         self.solution_rank = solution_rank
         self.true_residual = true_residual
         self.true_relative_residual = self._relative(true_residual)
+        self.residual_gap = true_residual / self.final_residual if self.final_residual else np.nan
         if self.residual_bound is not None:
             self.within_residual_bound = bool(true_residual <= self.residual_bound)
         self.counters = {name: cnt.as_dict() for name, cnt in counters.items()}
@@ -237,14 +241,17 @@ class SolveReport:
         self.wall_time_s = time.perf_counter() - t0
 
     def open_cycle(self, sk, mk):
-        """Start the next cycle: residual rank ``sk``, step budget ``mk``."""
-        if mk < 1:
-            raise MemoryBudgetError(
-                f"cycle {len(self.cycle_starts)}: residual rank {sk} needs more than "
-                f"memmax = {self.memmax} columns"
-            )
-        self.cycle_budgets.append(mk)
-        self.cycle_starts.append(len(self.residual_history))
+        """Open the next cycle (residual rank ``sk``, ``mk`` steps); False when ``mk < 1``.
+
+        Only a cycle 0 that cannot run raises :class:`MemoryBudgetError`.
+        """
+        if mk >= 1:
+            self.cycle_budgets.append(mk)
+            self.cycle_starts.append(len(self.residual_history))
+        elif not self.cycle_starts:
+            raise MemoryBudgetError(f"cycle 0: residual rank {sk} needs more than "
+                                    f"memmax = {self.memmax} columns")
+        return mk >= 1
 
     def close_cycle(self, live_columns):
         """Record the inner iterations of the cycle just ended and its ``live_columns``.
@@ -351,8 +358,8 @@ def restarted_sylv(A, B, C, D, config, verify=False):
     """Memory-budgeted restarted solver for A X + X B + C D* = 0.
 
     Returns the compressed solution factors and a :class:`SolveReport`.
-    Non-convergence within ``k_max`` restarts is reported through the
-    ``converged`` flag, not an exception.  With ``verify=True`` (small n
+    Non-convergence within ``k_max`` restarts or ``memmax`` columns is
+    reported through the ``converged`` flag.  With ``verify=True`` (small n
     only) the dense residual is formed at every inner iteration and at every
     cycle boundary and stored alongside the cheap values.
     """
@@ -376,10 +383,9 @@ def restarted_sylv(A, B, C, D, config, verify=False):
 
     for _ in range(config.k_max + 1):
         sk = Ck.shape[1]
-        if sk == 0:  # residual compressed away: nothing left to restart with
+        mk = config.memmax // (2 * sk) - 2 if sk else 0
+        if not report.open_cycle(sk, mk):  # residual compressed away, or too wide for memmax
             break
-        mk = config.memmax // (2 * sk) - 2
-        report.open_cycle(sk, mk)
         dec_a = arnoldi_init(A, Ck, cnt_a, max_steps=mk, r0=R0k)
         dec_b = arnoldi_init(Bt, Dk, cnt_b, max_steps=mk, r0=R0k)
         Ck = Dk = None  # copied into the bases
@@ -466,10 +472,9 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
 
     for _ in range(config.k_max + 1):
         sk = res.rank
-        if sk == 0:  # residual compressed away: nothing left to restart with
+        mk = config.memmax // sk - 1 if sk else 0
+        if not report.open_cycle(sk, mk):  # residual compressed away, or too wide for memmax
             break
-        mk = config.memmax // sk - 1
-        report.open_cycle(sk, mk)
         dec = arnoldi_init(A, res.C, cnt_a, max_steps=mk, r0=R0k)
         Dmid = res.S
         res = None  # its factor is copied into the basis

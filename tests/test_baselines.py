@@ -12,6 +12,7 @@ from mateq import (
     eksm_sylv,
     kron_oracle,
     laplacian_2d,
+    random_rhs,
     restarted_lyap,
     restarted_sylv,
     sksm_two_pass,
@@ -19,7 +20,6 @@ from mateq import (
 from mateq import baselines, dense_eq, linalg
 from mateq.errors import (
     IndefiniteOperatorError,
-    LossOfOrthogonalityError,
     MemoryExhaustedError,
     NonConvergenceError,
 )
@@ -225,13 +225,24 @@ def test_eksm_lyap_matches_oracle():
     assert rep.basis_dim == 2 * (rep.iterations + 1) * 2
 
 
-def test_eksm_memory_exhaustion():
+@pytest.mark.parametrize("equation", ["lyap", "sylv"])
+def test_eksm_stops_unconverged_when_the_next_pair_would_outgrow_max_dim(equation):
     rng = rng_for(6)
     Ad = -spd_dense(rng, 24, 0.05)
     C = rng.standard_normal((24, 2))
     inner = InnerSolverConfig(kind="block-gmres", tol=1e-10)
-    with pytest.raises(MemoryExhaustedError):
-        eksm_lyap(as_op(Ad), C, inner, tol_res=1e-14, max_dim=8)
+    # two pairs of 2 + 2 columns fit in max_dim = 11; a third would need 12
+    if equation == "lyap":
+        fac, rep = eksm_lyap(as_op(Ad), C, inner, tol_res=1e-14, max_dim=11)
+    else:
+        fac, rep = eksm_sylv(as_op(Ad), as_op(Ad.T), C, C, inner, tol_res=1e-14, max_dim=11)
+    assert not rep.converged
+    assert rep.basis_dim == 8 and rep.iterations == 1 and len(rep.inner_tolerances) == 2
+    assert rep.final_residual == rep.residual_history[-1] > 1e-14
+    X = fac.to_dense()
+    dense = np.linalg.norm(Ad @ X + X @ Ad.T + C @ C.T)
+    assert rep.true_residual == pytest.approx(dense, rel=1e-10)
+    assert rep.true_residual < 0.5 * rep.rhs_norm  # the solution so far, not a zero one
 
 
 def test_eksm_sylv_immediate_and_oracle():
@@ -380,19 +391,37 @@ def test_sksm_rejects_nonpositive_max_m(max_m):
         sksm_two_pass(A, np.ones((A.n, 1)), 1e-6, max_m)
 
 
-@pytest.mark.parametrize("verify", [True, False])
-def test_sksm_verify_guards_against_residual_gap(monkeypatch, verify):
+def test_sksm_reports_a_residual_gap_instead_of_raising(monkeypatch):
     # a true residual far above the cheap one is what lost orthogonality looks like
     monkeypatch.setattr(baselines, "true_residual_lyap", lambda *args: 1e3)
     A = laplacian_2d(6)
     C = rng_for(12).standard_normal((A.n, 2))
-    if verify:
-        with pytest.raises(LossOfOrthogonalityError):
-            sksm_two_pass(A, C, 1e-6, 40, verify=True)
-    else:
-        _, rep = sksm_two_pass(A, C, 1e-6, 40, verify=False)
-        assert rep.converged and rep.final_residual <= 1e-6
-        assert rep.true_residual == 1e3
+    _, rep = sksm_two_pass(A, C, 1e-6, 40)
+    assert rep.converged and rep.final_residual <= 1e-6
+    assert rep.true_residual == 1e3
+    assert rep.residual_gap == 1e3 / rep.final_residual > 1e9
+
+
+@pytest.mark.parametrize("seed", [144, 145])
+def test_sksm_converged_report_keeps_its_true_residual_within_tol_res(seed):
+    # the returned solution is cut only by the slack tol_res - final_residual;
+    # a spectral cut at tol_res / (2 ||A||) left these above 1e-6
+    A = laplacian_2d(30)
+    _, rep = sksm_two_pass(A, random_rhs(A.n, 3, seed=seed, normalize=True), 1e-6, 400)
+    assert rep.converged
+    assert rep.true_residual <= 1e-6
+
+
+@pytest.mark.parametrize("r, norms, tolerance", [
+    (0.25e-6, (1.0, 3.0), 0.75e-6 / 4.0),  # the slack the run has left
+    (1e-6, (1.0, 3.0), 1e-6 / 4.0),  # none left: cut at tol_res
+    (2e-6, (2.0, 2.0), 1e-6 / 4.0),
+    (0.5e-6, (0.0, 0.0), 0.5e-6),
+])
+def test_solution_rule_cuts_in_frobenius_norm_within_the_slack(r, norms, tolerance):
+    rule = baselines._solution_rule(1e-6, r, *norms)
+    assert rule.norm == "frobenius"
+    assert rule.tolerance == pytest.approx(tolerance, rel=1e-15)
 
 
 @pytest.mark.parametrize("restart", [0, -3])

@@ -165,12 +165,38 @@ def test_compare_table(tmp_path):
                 "--memmax", "40", "--tol-res", "1e-6", "--out", out])
     assert code == 0
     lines = open(out).read().splitlines()
-    assert lines[0].split(",") == ["solver", "its", "restarts", "rank",
-                                   "a_calls", "matvecs", "efficiency", "time_s"]
+    assert lines[0].split(",") == ["solver", "converged", "true_rel_res", "its", "restarts",
+                                   "rank", "a_calls", "matvecs", "efficiency", "time_s"]
     assert len(lines) == 4
-    assert lines[1].startswith("restarted-lyap")
-    assert lines[2].startswith("eksm-cg")
-    assert lines[3].startswith("sksm-two-pass")
+    assert lines[1].startswith("restarted-lyap,True,")
+    assert lines[2].startswith("eksm-cg,True,")
+    assert lines[3].startswith("sksm-two-pass,True,")
+    assert all(0 < float(line.split(",")[2]) < 1e-5 for line in lines[1:])
+
+
+# memmax 12 on this problem: restarted-lyap's third residual (rank 8) and
+# EKSM's fourth basis pair (max_dim 12) do not fit
+@pytest.mark.parametrize("solver", ["restarted-lyap", "eksm-bcg"])
+def test_a_spent_budget_exits_not_converged_and_shows_the_true_residual(tmp_path, capsys,
+                                                                        solver):
+    rep_path = str(tmp_path / "r.json")
+    code = run(["solve", "--problem", "laplacian2d", "--n", "10", "--s", "2", "--seed", "3",
+                "--normalize", "--solver", solver, "--memmax", "12", "--tol-res", "1e-8",
+                "--out", rep_path])
+    assert code == 2
+    rep = json.load(open(rep_path))
+    assert not rep["converged"] and rep["true_residual"] < rep["rhs_norm"]
+    summary = capsys.readouterr().err
+    assert "NOT converged" in summary
+    assert f"rel.res={rep['final_relative_residual']:.3e} " in summary
+    assert f"true.rel.res={rep['true_relative_residual']:.3e} " in summary
+    assert f"gap={rep['residual_gap']:.3g} " in summary
+    out = str(tmp_path / "table.csv")
+    assert run(["compare", "--problem", "laplacian2d", "--n", "10", "--s", "2", "--seed", "3",
+                "--normalize", "--solvers", solver, "--memmax", "12", "--tol-res", "1e-8",
+                "--out", out]) == 2
+    row = open(out).read().splitlines()[1].split(",")
+    assert row[1:3] == ["False", str(rep["true_relative_residual"])]
 
 
 def test_compare_rejects_empty_solver_list():

@@ -270,6 +270,54 @@ def test_symmetric_lyapunov_needs_no_schur_forms(monkeypatch):
     assert rep.converged
 
 
+def _kron_condition(A, B):
+    """2-norm condition number of kron_oracle's operator X -> A X + X B."""
+    K = np.kron(np.eye(B.shape[0]), A) + np.kron(B.T, np.eye(A.shape[0]))
+    sv = np.linalg.svd(K, compute_uv=False)
+    return sv[0] / sv[-1]
+
+
+def _near_singular_equation(route, delta):
+    """The solve of an equation whose eigenvalue sums come within ``delta`` of zero.
+
+    Returns the solve and kron_oracle's ``(A, B, RHS)`` for the same equation.
+    Bartels-Stewart gets nonnormal H and G with eigenvalues 1 of H and
+    ``-1 + delta`` of G.  The eigh route gets an exactly symmetric H with
+    eigenvalues -1, ``1 - delta`` and ``-delta / 2``, so both a pair
+    ``lam_i + lam_j`` and a double ``2 lam_i`` sum to ``-delta``.
+    """
+    rng = rng_for(31)
+    if route == "bartels-stewart":
+        V = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
+        W = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+        H = V @ np.diag([1.0, 2.0, 3.0, 1.5, 2.5]) @ np.linalg.inv(V)
+        G = W @ np.diag([-1.0 + delta, 4.0, 5.0, 3.5]) @ np.linalg.inv(W)
+        F = rng.standard_normal((5, 4))
+        return (lambda: solve_sylvester_dense(H, G, F)), (H, G.T, F)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    H = (Q * np.array([-3.0, -2.0, -1.0, 1.0 - delta, -0.5 * delta])) @ Q.T
+    H = 0.5 * (H + H.T)
+    Ctil = np.zeros((5, 2))
+    Ctil[:2] = R0 = rng.standard_normal((2, 2))
+    return (lambda: ProjectedLyapunov(H, R0, np.eye(2)).solution()), (H, H, Ctil @ Ctil.T)
+
+
+@pytest.mark.parametrize("route", ["bartels-stewart", "eigh"])
+@pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-10, 0.0])
+def test_near_singular_projected_equation_is_solved_or_rejected(route, delta):
+    # both solves are backward stable, so each lies within about eps * cond of
+    # the exact solution; at delta = 0 there is none, and the solve must raise
+    solve, (A, B, RHS) = _near_singular_equation(route, delta)
+    if delta == 0:
+        with pytest.raises(SingularOperatorError):
+            solve()
+        return
+    cond = _kron_condition(A, B)
+    assert cond >= 1 / delta  # the operator has an eigenvalue of size delta
+    Yo = kron_oracle(A, B, RHS)
+    assert np.linalg.norm(solve() - Yo) <= 100 * np.finfo(float).eps * cond * np.linalg.norm(Yo)
+
+
 def test_lyapunov_rejects_asymmetric_middle():
     with pytest.raises(ValueError):
         solve_lyapunov_ldlt(np.array([[-1.0]]), np.ones((1, 2)),

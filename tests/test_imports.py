@@ -1,4 +1,5 @@
-"""No package module imports a name it does not use or defines a private name nobody reads.
+"""No package module imports a name it does not use, defines a private name nobody reads,
+or defines an error class it never raises.
 
 No linter ships with the project, so this file is the unused-import check.
 ``__init__.py`` is left out: its imports are the public re-exports.  The one
@@ -80,3 +81,24 @@ def test_every_private_module_name_is_read():
     }
     assert len(defined) > 40  # the walk found the package's helpers
     assert sorted(d for d in defined if d.split(":")[1] not in read) == []
+
+
+def _raised_names(tree):
+    """Names of the exceptions a file raises, as ``raise X`` or ``raise X(...)``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised():
+    """An exception class that no package module raises is a contract nobody keeps."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set().union(*(_raised_names(ast.parse(p.read_text(), filename=str(p)))
+                           for p in PACKAGE.glob("*.py")))
+    assert len(classes) >= 5  # the walk found the error classes
+    assert sorted(classes - raised) == []

@@ -2,8 +2,9 @@
 
 Small nonnormal stable instances (``conftest.stable_dense``, n <= 20) with
 block widths 1 to 3 and memory budgets from the smallest that validates
-(4 s) up, solved in verify mode.  Hypothesis runs derandomized, so every run
-draws the same examples.
+(4 s) up, solved in verify mode.  A run whose restart residual outgrows the
+budget stops unconverged and is checked like any other.  Hypothesis runs
+derandomized, so every run draws the same examples.
 """
 
 import numpy as np
@@ -67,10 +68,7 @@ def test_restarted_sylv_properties(instance):
         with pytest.raises(MemoryBudgetError):
             restarted_sylv(as_op(A), as_op(B), C, D, cfg, verify=True)
         return
-    try:
-        pair, rep = restarted_sylv(as_op(A), as_op(B), C, D, cfg, verify=True)
-    except MemoryBudgetError:  # a later residual rank outgrew the budget
-        return
+    pair, rep = restarted_sylv(as_op(A), as_op(B), C, D, cfg, verify=True)
     _check_report(rep, lambda X: A @ X + X @ B + C @ D.T, pair.to_dense(),
                   kron_oracle(A, B, C @ D.T), _sep(A, B))
 
@@ -80,10 +78,7 @@ def test_restarted_sylv_properties(instance):
 def test_restarted_lyap_properties(instance):
     A, _, C, _, cfg = instance
     C = C / np.linalg.norm(C.T @ C) ** 0.5
-    try:
-        fac, rep = restarted_lyap(as_op(A), C, cfg, verify=True)
-    except MemoryBudgetError:
-        return
+    fac, rep = restarted_lyap(as_op(A), C, cfg, verify=True)
     _check_report(rep, lambda X: A @ X + X @ A.T + C @ C.T, fac.to_dense(),
                   kron_oracle(A, A.T, C @ C.T), _sep(A, A.T))
 

@@ -37,25 +37,39 @@ SOLVES = {
         LAP, C_LAP, SolverConfig(memmax=16, tol_res=1e-8, tol_comp=1e-3)),
     "restarted-sylv": lambda: restarted_sylv(
         CD_A, CD_B, C_CD, D_CD, SolverConfig(memmax=48, tol_res=1e-8)),
+    # budget stops: a restart residual of rank 8 is too wide for memmax, a
+    # third basis pair of 4 columns for max_dim
+    "restarted-lyap-memmax": lambda: restarted_lyap(
+        LAP, C_LAP, SolverConfig(memmax=12, tol_res=1e-8)),
+    "restarted-sylv-memmax": lambda: restarted_sylv(
+        CD_A, CD_B, C_CD, D_CD, SolverConfig(memmax=24, tol_res=1e-8)),
     "eksm-lyap": lambda: eksm_lyap(LAP, C_LAP, CG, 1e-8, 60),
     "eksm-sylv": lambda: eksm_sylv(CD_A, CD_B, C_CD, D_CD, GMRES, 1e-8, 40),
+    "eksm-lyap-max_dim": lambda: eksm_lyap(LAP, C_LAP, CG, 1e-8, 12),
+    "eksm-sylv-max_dim": lambda: eksm_sylv(CD_A, CD_B, C_CD, D_CD, GMRES, 1e-8, 12),
     "sksm-two-pass": lambda: sksm_two_pass(LAP, C_LAP, 1e-8, 100),
 }
+UNCONVERGED = {"restarted-lyap-k_max", "restarted-lyap-rank0", "restarted-lyap-memmax",
+               "restarted-sylv-memmax", "eksm-lyap-max_dim", "eksm-sylv-max_dim"}
 # (memmax, k_max) each solve's report opens with
 BUDGETS = {
     "restarted-lyap": (32, 100),
     "restarted-lyap-k_max": (32, 2),
     "restarted-lyap-rank0": (16, 100),
     "restarted-sylv": (48, 100),
+    "restarted-lyap-memmax": (12, 100),
+    "restarted-sylv-memmax": (24, 100),
     "eksm-lyap": (60, None),
     "eksm-sylv": (40, None),
+    "eksm-lyap-max_dim": (12, None),
+    "eksm-sylv-max_dim": (12, None),
     "sksm-two-pass": (None, None),
 }
 
 
 def _problem(name):
     """(A, B, C, D) of the equation the named solve runs on."""
-    if name.endswith("sylv"):
+    if "sylv" in name:
         return CD_A, CD_B, C_CD, D_CD
     return LAP, LAP, C_LAP, C_LAP
 
@@ -70,6 +84,7 @@ def test_finish_identities(name):
     assert rep.converged == (rep.final_residual <= rep.tol_res)
     assert rep.final_relative_residual == rep.final_residual / rep.rhs_norm
     assert rep.true_relative_residual == rep.true_residual / rep.rhs_norm
+    assert rep.residual_gap == rep.true_residual / rep.final_residual
     a = rep.counters["A"]
     assert rep.efficiency == a["matvecs"] / a["a_calls"]
     assert rep.solution_rank == fac.C.shape[1]
@@ -96,7 +111,17 @@ def test_finish_identities(name):
     assert (rep.inner_tolerances is not None) == name.startswith("eksm")
     if name == "restarted-lyap-rank0":
         assert rep.residual_ranks[-1] == 0
-    assert rep.converged == (name not in ("restarted-lyap-k_max", "restarted-lyap-rank0"))
+    assert rep.converged == (name not in UNCONVERGED)
+    if name.endswith("max_dim"):
+        assert rep.basis_dim == 12 and rep.iterations == 2
+    if name.endswith("memmax"):  # the last restart residual cannot run a step
+        assert rep.residual_ranks[-1] == 8
+
+
+def test_residual_gap_is_nan_when_the_cheap_residual_is_zero():
+    fac, rep = eksm_lyap(LAP, np.zeros((LAP.n, 2)), CG, 1e-8, 20)
+    assert rep.final_residual == 0 and fac.rank == 0
+    assert np.isnan(rep.residual_gap)
 
 
 def test_within_residual_bound_flags_a_run_cut_short():

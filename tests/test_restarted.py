@@ -18,7 +18,7 @@ from mateq import (
 )
 from mateq.errors import MemoryBudgetError
 
-from conftest import as_op, normal_dense, rng_for, spd_dense
+from conftest import as_op, normal_dense, rng_for, spd_dense, stable_dense
 
 
 def test_identity_coefficients_converge_immediately():
@@ -122,6 +122,34 @@ def test_memory_budget_error():
     with pytest.raises(MemoryBudgetError):
         # memmax >= 4 s passes validation but admits no Sylvester iteration
         restarted_sylv(A, A, C, C, SolverConfig(memmax=8, tol_res=1e-8))
+
+
+@pytest.mark.parametrize("driver", ["sylv", "lyap"])
+def test_restart_residual_too_wide_for_memmax_stops_the_run(driver):
+    # memmax 20: a residual of rank 2 runs, one of rank 4 (sylv) or 16 (lyap) cannot
+    rng = rng_for(0)
+    n, s = 24, 2
+    Ad, Bd = stable_dense(rng, n, 0.2), stable_dense(rng, n, 0.2)
+    C, D = rng.standard_normal((n, s)), rng.standard_normal((n, s))
+    cfg = SolverConfig(memmax=20, tol_res=1e-10, tol_comp=1e-14, k_max=30)
+    if driver == "sylv":
+        fac, rep = restarted_sylv(as_op(Ad), as_op(Bd), C, D, cfg, verify=True)
+        X = fac.to_dense()
+        dense = np.linalg.norm(Ad @ X + X @ Bd + C @ D.T)
+        budget = cfg.memmax // (2 * rep.residual_ranks[-1]) - 2
+    else:
+        fac, rep = restarted_lyap(as_op(Ad), C, cfg, verify=True)
+        X = fac.to_dense()
+        dense = np.linalg.norm(Ad @ X + X @ Ad.T + C @ C.T)
+        budget = cfg.memmax // rep.residual_ranks[-1] - 1
+    assert budget < 1 and not rep.converged
+    assert rep.restarts == (0 if driver == "sylv" else 2)
+    assert len(rep.cycle_budgets) == len(rep.residual_ranks) == rep.restarts + 1
+    assert rep.final_residual == rep.residual_history[-1] > cfg.tol_res
+    # the solution so far is the last cycle's, and its true residual is reported
+    assert rep.cycle_explicit_residuals[-1] == pytest.approx(dense, rel=1e-10)
+    assert rep.true_residual == pytest.approx(dense, rel=1e-10)
+    assert rep.residual_gap == rep.true_residual / rep.final_residual
 
 
 def test_nonconvergence_is_flagged_not_raised():
