@@ -183,7 +183,8 @@ def _write_history(rep, prefix):
     rel = 1.0 / rep.rhs_norm if rep.rhs_norm else 1.0
     with open(f"{prefix}_residual_norms.dat", "w") as fh:
         for i, r in enumerate(rep.residual_history, start=1):
-            fh.write(f"{i} {r * rel:.6e}\n")
+            if r is not None:  # a step that skipped its projected solve
+                fh.write(f"{i} {r * rel:.6e}\n")
     with open(f"{prefix}_cycle_markers.dat", "w") as fh:
         for start in rep.cycle_starts:
             if start < len(rep.residual_history):

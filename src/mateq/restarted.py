@@ -2,10 +2,12 @@
 
 Both drivers run cycles of the block Arnoldi projection method under a hard
 budget on simultaneously stored basis columns.  Each cycle solves a small
-projected equation at every inner step and checks a cheap residual norm; on
-restart, the residual of the accumulated solution is itself a low-rank
-product assembled from the boundary blocks of the Arnoldi relation, so it is
-compressed and used as the next cycle's right-hand side.  The accumulated
+projected equation and checks a cheap residual norm at the inner steps where
+that residual may reach the tolerance (:func:`_solve_due`), and always at the
+cycle's last step, whose solution alone feeds what follows.  On restart, the
+residual of the accumulated solution is itself a low-rank product assembled
+from the boundary blocks of the Arnoldi relation, so it is compressed and
+used as the next cycle's right-hand side.  The accumulated
 solution factors are compressed after every cycle as well.
 
 Both compressions run in coefficient space (:class:`BasisFactor`).  The
@@ -88,6 +90,10 @@ __all__ = [
 # every solver estimates its coefficients' norms with estimate_norm2's defaults
 _NORM_EST_METHOD = "power-iteration({} iters, seed {})".format(*estimate_norm2.__defaults__)
 _VERIFY_MAX_N = 2000
+# a step skips its projected solve while the extrapolated cheap residual stays
+# above this multiple of tol_res, and for at most this many steps in a row
+_SOLVE_MARGIN = 30.0
+_MAX_SKIPS = 7
 
 
 @dataclass
@@ -118,11 +124,7 @@ class SolverConfig:
     tol_comp_res: float | None = None
     norm: str = "frobenius"
 
-    def validate(self, s):
-        if self.memmax < 4 * s:
-            raise MemoryBudgetError(
-                f"memmax = {self.memmax} is below 4*s = {4 * s}; no iteration possible"
-            )
+    def validate(self):
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
         if not self.tol_res > 0:
@@ -150,7 +152,9 @@ class SolveReport:
     """Everything a solve run measured, in plot-ready form.
 
     ``residual_history`` holds the cheap residual norm of every inner
-    iteration (absolute, same scale as ``tol_res``); ``cycle_starts`` marks
+    iteration (absolute, same scale as ``tol_res``), or None for a restarted
+    solver's step that did not solve its projected equation (never the last
+    step of a cycle, and none with ``verify=True``); ``cycle_starts`` marks
     the 0-based history index where each cycle begins.  Ranks are recorded
     after the per-cycle compressions.  ``peak_live_columns`` is the largest
     number of basis columns held simultaneously across all Krylov sessions.
@@ -319,7 +323,7 @@ def _new_report(solver, C, D, norm_a, norm_b, tol_res=None, memmax=None, config=
     report = SolveReport(solver=solver, n=n, s=s, norm="frobenius", tol_res=tol_res,
                          memmax=memmax, norm_estimate_a=norm_a, norm_estimate_b=norm_b)
     if config is not None:
-        config.validate(s)
+        config.validate()
         report.norm, report.tol_res = config.norm, config.tol_res
         report.memmax, report.k_max = config.memmax, config.k_max
         report.tol_comp, report.tol_comp_res = config.resolved_tolerances(norm_a, norm_b)
@@ -329,6 +333,45 @@ def _new_report(solver, C, D, norm_a, norm_b, tol_res=None, memmax=None, config=
         report.explicit_history = []
         report.cycle_explicit_residuals = []
     return report
+
+
+def _solve_due(report, j, mk, width, n):
+    """Whether inner step ``j`` of the open cycle needs its projected solve.
+
+    Only the solve at the cycle's last step (``j == mk - 1``) feeds the
+    restart; the others only test ``r <= tol_res``, so a step may skip its
+    solve while that test cannot pass.  A step solves when the extended basis
+    spans the whole space (``(j + 2) * width >= n``), where finite termination
+    can drop the residual by orders of magnitude at once, and until two of the
+    cycle's residuals are known, the previous cycle's closing residual counting
+    as the one at step -1.  After that, with ``r_b`` the last known residual,
+    at step ``b``, it solves once ``j - b > _MAX_SKIPS`` or
+    ``r_b * rho^(2 (j - b)) <= _SOLVE_MARGIN * tol_res``, where ``rho`` is the
+    smaller of this cycle's and the previous cycle's mean per-step rate (from
+    its first known residual to its last), and at most 1.  The squared rate
+    and the bounded run of skips cover Krylov convergence that speeds up after
+    a slow start.  Callers also solve after a breakdown and at every step in
+    verify mode.
+    """
+    if j == mk - 1 or (j + 2) * width >= n:
+        return True
+    hist, starts = report.residual_history, report.cycle_starts
+    start = starts[-1]
+    known = [i for i in range(max(start - 1, 0), len(hist)) if hist[i] is not None]
+    if len(known) < 2:
+        return True
+    last = known[-1]
+    ahead = j - (last - start)  # steps since the last known residual
+    if ahead > _MAX_SKIPS:
+        return True
+
+    def rate(i, k):  # mean per-step factor from history index i to k
+        return (hist[k] / hist[i]) ** (1 / (k - i)) if k > i else 1.0
+
+    rho = min(1.0, rate(known[0], last))
+    if len(starts) > 1:
+        rho = min(rho, rate(max(starts[-2] - 1, 0), start - 1))
+    return hist[last] * rho ** (2 * ahead) <= _SOLVE_MARGIN * report.tol_res
 
 
 def _in_basis(basis, W):
@@ -360,8 +403,9 @@ def restarted_sylv(A, B, C, D, config, verify=False):
     Returns the compressed solution factors and a :class:`SolveReport`.
     Non-convergence within ``k_max`` restarts or ``memmax`` columns is
     reported through the ``converged`` flag.  With ``verify=True`` (small n
-    only) the dense residual is formed at every inner iteration and at every
-    cycle boundary and stored alongside the cheap values.
+    only) every inner iteration solves its projected equation, and the dense
+    residual is formed there and at every cycle boundary and stored alongside
+    the cheap values.
     """
     C, D = _as_blocks(A, B, C, D)
     n = C.shape[0]
@@ -390,9 +434,13 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         dec_b = arnoldi_init(Bt, Dk, cnt_b, max_steps=mk, r0=R0k)
         Ck = Dk = None  # copied into the bases
         rhs_core = (dec_a.r0 * mid) @ dec_b.r0.T
-        for _ in range(mk):
+        for j in range(mk):
             arnoldi_extend(dec_a)
             arnoldi_extend(dec_b)
+            if not (verify or dec_a.breakdown or dec_b.breakdown
+                    or _solve_due(report, j, mk, sk, n)):
+                report.residual_history.append(None)
+                continue
             ka, kb = dec_a.m * sk, dec_b.m * sk
             F = np.zeros((ka, kb))
             F[:sk, :sk] = rhs_core
@@ -478,9 +526,12 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         dec = arnoldi_init(A, res.C, cnt_a, max_steps=mk, r0=R0k)
         Dmid = res.S
         res = None  # its factor is copied into the basis
-        for _ in range(mk):
+        for j in range(mk):
             arnoldi_extend(dec)
             proj = H = None  # free the last step's k x k arrays before the next solve
+            if not (verify or dec.breakdown or _solve_due(report, j, mk, sk, n)):
+                report.residual_history.append(None)
+                continue
             # symmetric to roundoff for symmetric A; made exact, it takes the eigh route
             H = 0.5 * (dec.H + dec.H.T) if A.symmetric else dec.H
             proj = ProjectedLyapunov(H, dec.r0, Dmid)

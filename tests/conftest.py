@@ -40,3 +40,14 @@ def as_op(M, symmetric=False):
 @pytest.fixture
 def rng():
     return rng_for(12345)
+
+
+def assert_same_counts(rep, ref):
+    """``rep`` (solves skipped) counts what ``ref`` (every step solved) counts.
+
+    Residuals must agree bit for bit at every step where both were measured.
+    """
+    for name in ("iterations", "restarts", "residual_ranks", "solution_rank", "converged"):
+        assert getattr(rep, name) == getattr(ref, name), name
+    assert len(rep.residual_history) == len(ref.residual_history)
+    assert all(r is None or r == q for r, q in zip(rep.residual_history, ref.residual_history))

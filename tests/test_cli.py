@@ -89,6 +89,14 @@ def test_history_files_of_a_restarted_solve_match_the_report(tmp_path):
     rows = _dat_rows(hist + "_eig.dat")
     assert [int(k) for k, _, _ in rows] == list(range(len(rep["min_eigenvalues"])))
     assert [float(e) for _, e, _ in rows] == pytest.approx(rep["min_eigenvalues"], rel=1e-6)
+    # steps that skipped their projected solve hold null and get no row
+    rows = _dat_rows(hist + "_residual_norms.dat")
+    measured = [(i, r) for i, r in enumerate(rep["residual_history"], start=1) if r is not None]
+    assert len(measured) < rep["iterations"]
+    assert [int(i) for i, _ in rows] == [i for i, _ in measured]
+    assert [float(r) for _, r in rows] == pytest.approx(
+        [r / rep["rhs_norm"] for _, r in measured], rel=1e-6)
+    # a cycle's first step is always measured: one marker per cycle
     rows = _dat_rows(hist + "_cycle_markers.dat")
     assert [int(i) for i, _ in rows] == [start + 1 for start in rep["cycle_starts"]]
     marked = [rep["residual_history"][start] / rep["rhs_norm"] for start in rep["cycle_starts"]]
@@ -293,7 +301,8 @@ def _report_json_converting_numpy_scalars(rep):
         if isinstance(v, np.floating):
             v = float(v)
         if isinstance(v, list):
-            v = [float(x) if isinstance(x, (np.floating, float)) else int(x) for x in v]
+            v = [x if x is None else float(x) if isinstance(x, (np.floating, float)) else int(x)
+                 for x in v]
         clean[k] = v
     return json.dumps(clean, indent=2, sort_keys=True, allow_nan=True)
 

@@ -1,9 +1,11 @@
 """Property tests of both restarted drivers against the Kronecker oracle.
 
 Small nonnormal stable instances (``conftest.stable_dense``, n <= 20) with
-block widths 1 to 3 and memory budgets from the smallest that validates
-(4 s) up, solved in verify mode.  A run whose restart residual outgrows the
-budget stops unconverged and is checked like any other.  Hypothesis runs
+block widths 1 to 3 and memory budgets from 4 s (Lyapunov) or from the
+smallest that runs a Sylvester cycle (6 s) up, solved in verify mode.  A run
+whose restart residual outgrows the budget stops unconverged and is checked
+like any other.  Each instance is solved a second time without verify mode,
+which skips projected solves, and must count the same.  Hypothesis runs
 derandomized, so every run draws the same examples.
 """
 
@@ -12,9 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mateq import SolverConfig, kron_oracle, restarted_lyap, restarted_sylv
-from mateq.errors import MemoryBudgetError
 
-from conftest import as_op, rng_for, stable_dense
+from conftest import as_op, assert_same_counts, rng_for, stable_dense
 from test_compression import _two_eigenvalue_matrix
 
 _PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -22,8 +23,8 @@ _TOL_COMP = 1e-14
 
 
 @st.composite
-def _instances(draw):
-    """``(A, B, C, D, config)`` with ||C D*||_F = 1 and memmax = 4 s + extra."""
+def _instances(draw, floor):
+    """``(A, B, C, D, config)`` with ||C D*||_F = 1 and memmax = floor * s + extra."""
     n = draw(st.integers(4, 20))
     s = draw(st.integers(1, 3))
     extra = draw(st.integers(0, 20 * s))
@@ -31,7 +32,7 @@ def _instances(draw):
     A, B = stable_dense(rng, n, 0.2), stable_dense(rng, n, 0.2)
     C, D = rng.standard_normal((n, s)), rng.standard_normal((n, s))
     f = np.sqrt(np.linalg.norm(C @ D.T))
-    cfg = SolverConfig(memmax=4 * s + extra, tol_res=1e-8, tol_comp=_TOL_COMP, k_max=30)
+    cfg = SolverConfig(memmax=floor * s + extra, tol_res=1e-8, tol_comp=_TOL_COMP, k_max=30)
     return A, B, C / f, D / f, cfg
 
 
@@ -60,27 +61,24 @@ def _sep(A, B):
 
 
 @_PROPERTY
-@given(_instances())
+@given(_instances(6))
 def test_restarted_sylv_properties(instance):
     A, B, C, D, cfg = instance
-    s = C.shape[1]
-    if cfg.memmax < 6 * s:  # no first cycle: memmax // (2 s) - 2 < 1
-        with pytest.raises(MemoryBudgetError):
-            restarted_sylv(as_op(A), as_op(B), C, D, cfg, verify=True)
-        return
     pair, rep = restarted_sylv(as_op(A), as_op(B), C, D, cfg, verify=True)
     _check_report(rep, lambda X: A @ X + X @ B + C @ D.T, pair.to_dense(),
                   kron_oracle(A, B, C @ D.T), _sep(A, B))
+    assert_same_counts(restarted_sylv(as_op(A), as_op(B), C, D, cfg)[1], rep)
 
 
 @_PROPERTY
-@given(_instances())
+@given(_instances(4))
 def test_restarted_lyap_properties(instance):
     A, _, C, _, cfg = instance
     C = C / np.linalg.norm(C.T @ C) ** 0.5
     fac, rep = restarted_lyap(as_op(A), C, cfg, verify=True)
     _check_report(rep, lambda X: A @ X + X @ A.T + C @ C.T, fac.to_dense(),
                   kron_oracle(A, A.T, C @ C.T), _sep(A, A.T))
+    assert_same_counts(restarted_lyap(as_op(A), C, cfg)[1], rep)
 
 
 @pytest.mark.parametrize("driver", ["sylv", "lyap"])

@@ -4,6 +4,7 @@ import pytest
 from mateq import (
     SolverConfig,
     SparseOperator,
+    convdiff_3d,
     dense_eq,
     estimate_norm2,
     eval_error_bound_normal,
@@ -18,7 +19,7 @@ from mateq import (
 )
 from mateq.errors import MemoryBudgetError
 
-from conftest import as_op, normal_dense, rng_for, spd_dense, stable_dense
+from conftest import as_op, assert_same_counts, normal_dense, rng_for, spd_dense, stable_dense
 
 
 def test_identity_coefficients_converge_immediately():
@@ -114,14 +115,19 @@ def test_lyap_cycle_budget_rule():
 
 
 def test_memory_budget_error():
+    # cycle 0 needs memmax >= 2 s (Lyapunov) or 6 s (Sylvester) columns;
+    # below that open_cycle raises, at or above it the run starts
     rng = rng_for(5)
     A = as_op(spd_dense(rng, 10))
     C = rng.standard_normal((10, 2))
-    with pytest.raises(MemoryBudgetError):
-        restarted_lyap(A, C, SolverConfig(memmax=6, tol_res=1e-8))
-    with pytest.raises(MemoryBudgetError):
-        # memmax >= 4 s passes validation but admits no Sylvester iteration
-        restarted_sylv(A, A, C, C, SolverConfig(memmax=8, tol_res=1e-8))
+    with pytest.raises(MemoryBudgetError, match="cycle 0"):
+        restarted_lyap(A, C, SolverConfig(memmax=3, tol_res=1e-8))
+    with pytest.raises(MemoryBudgetError, match="cycle 0"):
+        restarted_sylv(A, A, C, C, SolverConfig(memmax=11, tol_res=1e-8))
+    _, rep = restarted_lyap(A, C, SolverConfig(memmax=6, tol_res=1e-8))
+    assert rep.cycle_budgets[0] == 2
+    _, rep = restarted_sylv(A, A, C, C, SolverConfig(memmax=12, tol_res=1e-8))
+    assert rep.cycle_budgets[0] == 1
 
 
 @pytest.mark.parametrize("driver", ["sylv", "lyap"])
@@ -244,6 +250,78 @@ def test_lyap_checks_the_projected_solution_once_per_cycle(monkeypatch):
     assert rep.converged and rep.restarts >= 1
     assert len(calls) == len(rep.cycle_starts) == rep.restarts + 1
     assert rep.iterations > len(calls)
+
+
+def _skip_panel_case(case, driver):
+    """``(A, B, C, D, config)`` of one panel case for ``driver``."""
+    if case == "full-space":
+        # n = 22, s = 1: the run converges at step 20, where the extended
+        # basis spans the whole space
+        rng = rng_for(1 if driver == "lyap" else 192)
+        A, B = (as_op(stable_dense(rng, 22, 0.2)) for _ in range(2))
+        C, D = (M / np.linalg.norm(M) for M in (rng.standard_normal((22, 1)) for _ in range(2)))
+        return A, B, C, D, SolverConfig(memmax=24 if driver == "lyap" else 48, tol_res=1e-6,
+                                        tol_comp=1e-14, k_max=30)
+    if case == "dense":
+        rng = rng_for(24)
+        A, B = (as_op(stable_dense(rng, 30)) for _ in range(2))
+        C, D = (M / np.linalg.norm(M) for M in (rng.standard_normal((30, 2)) for _ in range(2)))
+        memmax, tol_res = (30, 80), 1e-6
+    elif case == "laplacian":
+        A = B = laplacian_2d(12)
+        C, D = random_rhs(A.n, 2, seed=4, normalize=True, pair=True)
+        memmax, tol_res = (40, 90), 1e-8
+    else:
+        A, B = convdiff_3d(5, 0.01, "wA"), convdiff_3d(5, 0.01, "wB")
+        C, D = random_rhs(A.n, 2, seed=4, normalize=True, pair=True)
+        memmax, tol_res = (40, 120), 1e-6
+    return A, B, C, D, SolverConfig(memmax=memmax[driver == "sylv"], tol_res=tol_res, k_max=30)
+
+
+def _solve_panel_case(driver, A, B, C, D, cfg, verify):
+    if driver == "sylv":
+        return restarted_sylv(A, B, C, D, cfg, verify=verify)[1]
+    return restarted_lyap(A, C / np.linalg.norm(C.T @ C) ** 0.5, cfg, verify=verify)[1]
+
+
+@pytest.mark.parametrize("driver", ["sylv", "lyap"])
+@pytest.mark.parametrize("case", ["full-space", "dense", "laplacian", "convdiff"])
+def test_skipped_projected_solves_change_no_count(case, driver):
+    # verify mode solves the projected equation at every step
+    problem = _skip_panel_case(case, driver)
+    ref = _solve_panel_case(driver, *problem, verify=True)
+    rep = _solve_panel_case(driver, *problem, verify=False)
+    assert rep.converged and None in rep.residual_history
+    assert None not in ref.residual_history
+    assert_same_counts(rep, ref)
+    for start, its in zip(rep.cycle_starts, rep.cycle_inner_iterations):
+        # a cycle's first and last steps are measured
+        assert None not in (rep.residual_history[start], rep.residual_history[start + its - 1])
+
+
+@pytest.mark.parametrize("driver", ["sylv", "lyap"])
+def test_full_space_steps_always_solve(monkeypatch, driver):
+    # without the (j + 2) * s >= n guard the converging step is skipped and
+    # the run takes a step more
+    problem = _skip_panel_case("full-space", driver)
+    ref = _solve_panel_case(driver, *problem, verify=False)
+    solve_due = restarted._solve_due
+    monkeypatch.setattr(restarted, "_solve_due",
+                        lambda report, j, mk, width, n: solve_due(report, j, mk, width, 10**9))
+    rep = _solve_panel_case(driver, *problem, verify=False)
+    assert ref.iterations == 21 and rep.iterations > ref.iterations
+
+
+def test_slow_start_needs_the_skip_bound(monkeypatch):
+    # the residual falls slowly over the first steps, then fast: with no bound
+    # on a run of skips the converging step is skipped and the run goes on
+    A = convdiff_3d(3, 0.01, "wA")
+    C = random_rhs(A.n, 1, seed=0, normalize=True)
+    cfg = SolverConfig(memmax=29, tol_res=1e-10, k_max=40)
+    ref = restarted_lyap(A, C, cfg, verify=True)[1]
+    assert_same_counts(restarted_lyap(A, C, cfg)[1], ref)
+    monkeypatch.setattr(restarted, "_MAX_SKIPS", 10**6)
+    assert restarted_lyap(A, C, cfg)[1].iterations > ref.iterations == 25
 
 
 def test_rank_zero_residual_means_converged():
@@ -370,7 +448,7 @@ def test_negative_definite_coefficients_match_oracle():
 def test_config_validation_rejects_bad_settings(field, value, match):
     cfg = SolverConfig(memmax=40, **{field: value})
     with pytest.raises(ValueError, match=match):
-        cfg.validate(2)
+        cfg.validate()
 
 
 def test_right_hand_side_block_shapes():
