@@ -23,7 +23,7 @@ invariant under A and the session takes no further steps.
 
 import numpy as np
 
-from .errors import MemoryExhaustedError, RankDeficientBlockError
+from .errors import MemoryBudgetError, RankDeficientBlockError
 from .linalg import orthonormalize_block, qr_economy
 from .sparse import spmm
 
@@ -104,12 +104,22 @@ def arnoldi_init(A, C, counter, max_steps, r0=None):
     if C.ndim != 2 or C.shape[1] < 1:
         raise ValueError(f"starting block must be n x s with s >= 1, got {C.shape}")
     Q0, R0 = qr_economy(C) if r0 is None else (C, r0)
-    sig = np.linalg.svd(R0, compute_uv=False)
+    _check_full_rank(R0)
+    return ArnoldiDecomposition(A, counter, Q0, R0, max_steps)
+
+
+def _check_full_rank(R):
+    """Raise :class:`RankDeficientBlockError` unless a starting block's R factor has full rank.
+
+    The rank is numerical: the smallest singular value of ``R`` must be at
+    least ``1e-12`` times its largest.  A zero R passes, so a zero block is
+    left to its caller.
+    """
+    sig = np.linalg.svd(R, compute_uv=False)
     if sig[-1] < 1e-12 * sig[0]:
         raise RankDeficientBlockError(
             f"starting block is numerically rank deficient (sigma_min/sigma_max = {sig[-1] / sig[0]:.3e})"
         )
-    return ArnoldiDecomposition(A, counter, Q0, R0, max_steps)
 
 
 def arnoldi_extend(dec):
@@ -125,7 +135,7 @@ def arnoldi_extend(dec):
     if dec.breakdown:
         return dec
     if dec.m >= dec.max_steps:
-        raise MemoryExhaustedError(
+        raise MemoryBudgetError(
             f"decomposition capacity of {dec.max_steps} block steps exhausted"
         )
     s, j = dec.s, dec.m  # extending from block j to block j+1 (0-based storage)

@@ -40,17 +40,17 @@ projected solution is formed and checked once, when pass one stops.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arnoldi import arnoldi_extend, arnoldi_init
+from .arnoldi import _check_full_rank, arnoldi_extend, arnoldi_init
 from .compression import (SymLowRankFactor, TruncationRule, _balanced, _eig_by_magnitude,
                           _svd_by_magnitude)
 from .dense_eq import ProjectedLyapunov, solve_lyapunov_ldlt, solve_sylvester_dense
 from .errors import (
     IndefiniteOperatorError,
-    MemoryExhaustedError,
+    MemoryBudgetError,
     NonConvergenceError,
     RankDeficientBlockError,
 )
@@ -70,6 +70,9 @@ __all__ = ["InnerSolverConfig", "block_cg", "block_gmres", "eksm_lyap", "eksm_sy
 # 6.3e-7 of a fixed 1e-8, both in 15 outer steps.
 _C_RELAX = 0.1
 _TAU_MAX = 0.1
+# iteration cap of either inner solver, and block GMRES's restart length
+_INNER_MAX_ITER = 2000
+_GMRES_RESTART = 50
 
 
 def _relaxed_tol(floor, tol_res, r):
@@ -87,34 +90,27 @@ class InnerSolverConfig:
 
     ``tol`` is the floor of the relaxed inner tolerance that the extended
     Krylov solvers apply (see the module docstring), so it may not exceed the
-    rule's cap of 0.1.  :func:`block_cg` and :func:`block_gmres` called with
-    the config itself stop at ``tol``.
+    rule's cap of 0.1.  Each inner solve stops at its relaxed tolerance or
+    raises after ``_INNER_MAX_ITER`` iterations.
     """
 
     kind: str = "block-cg"
     tol: float = 1e-8
-    max_iter: int = 2000
-    restart: int = 50  # block-gmres only
 
     def __post_init__(self):
         if self.kind not in ("block-cg", "block-gmres"):
             raise ValueError(f"kind must be 'block-cg' or 'block-gmres', got {self.kind!r}")
         if not 0 < self.tol <= _TAU_MAX:
             raise ValueError(f"inner tolerance must lie in (0, {_TAU_MAX:g}]")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.restart < 1:
-            raise ValueError(f"restart must be >= 1, got {self.restart}")
 
     def solve(self, A, RHS, counter, tol):
         """``A X = RHS`` solved to relative residual ``tol`` by this config's kind."""
-        cfg = replace(self, tol=tol)
         if self.kind == "block-cg":
-            return block_cg(A, RHS, cfg, counter)
-        return block_gmres(A, RHS, cfg, counter)
+            return block_cg(A, RHS, tol, counter)
+        return block_gmres(A, RHS, tol, counter)
 
 
-def block_cg(A, RHS, cfg, counter):
+def block_cg(A, RHS, tol, counter):
     """Coupled block conjugate gradients for SPD A (O'Leary, LAA 29, 1980).
 
     Each step factors the search directions' Gram matrix ``P* A P = L L*``
@@ -132,7 +128,7 @@ def block_cg(A, RHS, cfg, counter):
     first block goes through :func:`linalg.qr_economy`, which also rejects a
     non-finite right-hand side.  Every n-row array is its own contiguous
     buffer: updates on column views of a shared buffer are strided and
-    several times slower.  Stops at ``||A X - RHS||_F <= cfg.tol * ||RHS||_F``.
+    several times slower.  Stops at ``||A X - RHS||_F <= tol * ||RHS||_F``.
     """
     RHS = np.asarray(RHS, dtype=np.float64)
     rhs_norm = np.linalg.norm(RHS)
@@ -141,7 +137,7 @@ def block_cg(A, RHS, cfg, counter):
     X = np.zeros(RHS.shape)  # C order: a mixed-layout X += P @ alpha is slow
     R = RHS.copy()
     P, _ = qr_economy(R)
-    for _ in range(cfg.max_iter):
+    for _ in range(_INNER_MAX_ITER):
         W = spmm(A, P, counter)
         M = P.T @ W
         factors = _cholesky_factors(0.5 * (M + M.T))
@@ -154,21 +150,22 @@ def block_cg(A, RHS, cfg, counter):
         alpha = M_inv @ (P.T @ R)
         X += P @ alpha
         R -= W @ alpha
-        if np.linalg.norm(R) <= cfg.tol * rhs_norm:
+        if np.linalg.norm(R) <= tol * rhs_norm:
             return X
         beta = -M_inv @ (W.T @ R)
         D = R + P @ beta
         P = np.empty_like(D)
         _cholesky_qr(D, D.T @ D.copy(), P)
-    raise NonConvergenceError(f"block CG did not reach {cfg.tol:g} in {cfg.max_iter} iterations")
+    raise NonConvergenceError(f"block CG did not reach {tol:g} in {_INNER_MAX_ITER} iterations")
 
 
-def block_gmres(A, RHS, cfg, counter):
+def block_gmres(A, RHS, tol, counter):
     """Restarted block GMRES for a nonsingular operator.
 
-    Each cycle builds a block Arnoldi basis of at most ``cfg.restart`` steps
-    and minimizes the residual over it through a small least-squares solve
-    on the session's stored ``Hbar``.
+    Each cycle builds a block Arnoldi basis of at most ``_GMRES_RESTART``
+    steps and minimizes the residual over it through a small least-squares
+    solve on the session's stored ``Hbar``.  Stops at
+    ``||A X - RHS||_F <= tol * ||RHS||_F``.
     """
     RHS = np.asarray(RHS, dtype=np.float64)
     _, s = RHS.shape
@@ -178,14 +175,14 @@ def block_gmres(A, RHS, cfg, counter):
     X = np.zeros(RHS.shape)  # C order: a mixed-layout X += P @ alpha is slow
     R = RHS.copy()
     total = 0
-    while total < cfg.max_iter:
+    while total < _INNER_MAX_ITER:
         # column scaling keeps the start block full rank when some right-hand
         # sides converge earlier than others (block deflation is unsupported)
         scale = np.linalg.norm(R, axis=0)
         scale[scale == 0] = 1.0
         try:
             dec = arnoldi_init(A, R / scale, counter,
-                               max_steps=min(cfg.restart, cfg.max_iter - total))
+                               max_steps=min(_GMRES_RESTART, _INNER_MAX_ITER - total))
         except RankDeficientBlockError as exc:
             raise NonConvergenceError(
                 f"block GMRES restart block is rank deficient at residual "
@@ -201,14 +198,14 @@ def block_gmres(A, RHS, cfg, counter):
             rhs = E1R[: Hbar.shape[0]]
             Y, _, _, _ = np.linalg.lstsq(Hbar, rhs, rcond=None)
             res = np.linalg.norm(Hbar @ Y - rhs)
-            if res <= cfg.tol * rhs_norm or dec.breakdown:
+            if res <= tol * rhs_norm or dec.breakdown:
                 break
         X += dec.basis @ Y
         R = RHS - spmm(A, X, counter)
-        if np.linalg.norm(R) <= cfg.tol * rhs_norm:
+        if np.linalg.norm(R) <= tol * rhs_norm:
             return X
     raise NonConvergenceError(
-        f"block GMRES did not reach {cfg.tol:g} in {cfg.max_iter} iterations"
+        f"block GMRES did not reach {tol:g} in {_INNER_MAX_ITER} iterations"
     )
 
 
@@ -236,6 +233,9 @@ class _ExtendedBasis:
         self.max_dim = max_dim
         n, s = C.shape
         self.s = s
+        # neither inner solver deflates: a rank-deficient C would make block CG
+        # report an SPD operator as indefinite, so it is rejected as arnoldi_init does
+        _check_full_rank(qr_economy(C)[1])
         self._U = np.empty((n, max_dim), order="F")
         self._AU = np.empty((n, max_dim), order="F")
         self._T = np.zeros((max_dim, max_dim))
@@ -248,7 +248,7 @@ class _ExtendedBasis:
         """Append the pair ``[image, inner solve of source to tol]``; returns its R factor."""
         d, s = self.dim, self.s
         if d + 2 * s > self.max_dim:
-            raise MemoryExhaustedError(
+            raise MemoryBudgetError(
                 f"extended basis needs {d + 2 * s} columns > max_dim = {self.max_dim}; "
                 "cannot reach the tolerance"
             )
@@ -303,7 +303,9 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
     """Extended Krylov solver for A X + X A* + C C* = 0 with inexact inverses.
 
     Stops unconverged when the next pair would outgrow ``max_dim``; raises
-    :class:`MemoryExhaustedError` only when the first pair does not fit.
+    :class:`MemoryBudgetError` only when the first pair does not fit, and
+    :class:`RankDeficientBlockError` for a rank-deficient C, before any
+    inner solve.
     """
     C, _ = _as_blocks(A, A, C, C)
     t0 = time.perf_counter()
@@ -341,7 +343,10 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
 
     Grows one extended basis for (A, C) and one for (B*, D) in lockstep, with
     independent counters for the two operators; ``inner`` serves the inner
-    solves of both, and it stops at ``max_dim`` as :func:`eksm_lyap` does.
+    solves of both.  It stops at ``max_dim`` and raises as :func:`eksm_lyap`
+    does, :class:`RankDeficientBlockError` for a rank-deficient C or D.  A
+    rank-deficient D is found once the basis for (A, C) has taken its first
+    inner solve.
     """
     C, D = _as_blocks(A, B, C, D)
     t0 = time.perf_counter()

@@ -210,7 +210,8 @@ def _cmd_gen(args):
         write_dense_matrix_market(C, args.rhs_out)
         print(f"wrote {C.shape[0]}x{C.shape[1]} right-hand side to {args.rhs_out}")
         if D is not C:
-            path = args.rhs_out.replace(".mtx", "_D.mtx") if args.rhs_out.endswith(".mtx") else args.rhs_out + ".D"
+            path = (args.rhs_out.removesuffix(".mtx") + "_D.mtx" if args.rhs_out.endswith(".mtx")
+                    else args.rhs_out + ".D")
             write_dense_matrix_market(D, path)
             print(f"wrote second right-hand-side factor to {path}")
     return 0

@@ -21,9 +21,5 @@ class MemoryBudgetError(RuntimeError):
     """The basis-column budget cannot accommodate a single iteration."""
 
 
-class MemoryExhaustedError(RuntimeError):
-    """A growing basis would exceed its allowed dimension."""
-
-
 class IndefiniteOperatorError(RuntimeError):
     """Block CG detected an indefinite coefficient matrix."""

@@ -76,7 +76,7 @@ from .residuals import (
     true_residual_lyap,
     true_residual_sylv,
 )
-from .sparse import OpCounter, estimate_norm2
+from .sparse import NORM_EST_METHOD, OpCounter, estimate_norm2
 
 __all__ = [
     "SolverConfig",
@@ -87,8 +87,6 @@ __all__ = [
     "eval_error_bound_normal",
 ]
 
-# every solver estimates its coefficients' norms with estimate_norm2's defaults
-_NORM_EST_METHOD = "power-iteration({} iters, seed {})".format(*estimate_norm2.__defaults__)
 _VERIFY_MAX_N = 2000
 # a step skips its projected solve while the extrapolated cheap residual stays
 # above this multiple of tol_res, and for at most this many steps in a row
@@ -115,6 +113,8 @@ class SolverConfig:
     explicitly, otherwise ``max(sol, 1e-3 * tol_res)``, ``sol`` the
     solution-side tolerance (at ``tol_res = 1e-6`` and the default ``k_max``:
     3.3e-9 for ``||A|| = ||B|| = 1``, 1e-9 for norms of 1e4).
+
+    A setting out of range raises ``ValueError`` when the config is built.
     """
 
     memmax: int
@@ -124,7 +124,7 @@ class SolverConfig:
     tol_comp_res: float | None = None
     norm: str = "frobenius"
 
-    def validate(self):
+    def __post_init__(self):
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
         if not self.tol_res > 0:
@@ -201,7 +201,7 @@ class SolveReport:
     efficiency: float = float("nan")
     norm_estimate_a: float = float("nan")
     norm_estimate_b: float | None = None
-    norm_estimate_method: str = _NORM_EST_METHOD
+    norm_estimate_method: str = NORM_EST_METHOD
     residual_bound: float | None = None
     within_residual_bound: bool | None = None
     peak_live_columns: int = 0
@@ -313,9 +313,9 @@ def _new_report(solver, C, D, norm_a, norm_b, tol_res=None, memmax=None, config=
                 verify=False):
     """Open every solver's report for right-hand side C D* and estimates of ``||A||``, ``||B||``.
 
-    A restarted solver passes its ``config``, validated here, which also sets
-    ``k_max`` and the compression tolerances; a baseline passes ``tol_res``
-    and its basis budget.  ``||C D*||`` is taken without forming the product.
+    A restarted solver passes its ``config``, which also sets ``k_max`` and
+    the compression tolerances; a baseline passes ``tol_res`` and its basis
+    budget.  ``||C D*||`` is taken without forming the product.
     """
     n, s = C.shape
     if verify and n > _VERIFY_MAX_N:
@@ -323,7 +323,6 @@ def _new_report(solver, C, D, norm_a, norm_b, tol_res=None, memmax=None, config=
     report = SolveReport(solver=solver, n=n, s=s, norm="frobenius", tol_res=tol_res,
                          memmax=memmax, norm_estimate_a=norm_a, norm_estimate_b=norm_b)
     if config is not None:
-        config.validate()
         report.norm, report.tol_res = config.norm, config.tol_res
         report.memmax, report.k_max = config.memmax, config.k_max
         report.tol_comp, report.tol_comp_res = config.resolved_tolerances(norm_a, norm_b)

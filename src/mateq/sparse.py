@@ -21,6 +21,11 @@ from .linalg import _pow2_scaled
 
 # Recorded by the benchmark's environment record; products have one backend.
 KERNEL_BACKEND = "scipy"
+# power steps and start seed of every solver's norm estimate, and the
+# description SolveReport.norm_estimate_method records
+_NORM_EST_ITERS = 20
+_NORM_EST_SEED = 42
+NORM_EST_METHOD = f"power-iteration({_NORM_EST_ITERS} iters, seed {_NORM_EST_SEED})"
 
 __all__ = ["SparseOperator", "OpCounter", "spmm", "estimate_norm2", "KERNEL_BACKEND"]
 
@@ -187,29 +192,28 @@ def spmm(A, V, counter):
     return out
 
 
-def estimate_norm2(A, iters=20, seed=42):
+def estimate_norm2(A):
     """Power-iteration estimate of the spectral norm of ``A``.
 
-    Runs ``iters`` power steps on ``A.T @ A`` from a seeded random start and
-    returns the Rayleigh-quotient value ``||A v||``, which is a lower estimate
-    of the true ``||A||_2``.  Deterministic given the seed; applications are
-    not charged to any counter.  ``A.T`` is applied through scipy's
-    transposed view of A's arrays, which sums each entry of ``A.T @ w`` in
-    the same order as a transposed CSR copy would, without building one.
+    Runs ``_NORM_EST_ITERS`` power steps on ``A.T @ A`` from a random start
+    seeded with ``_NORM_EST_SEED`` and returns the Rayleigh-quotient value
+    ``||A v||``, which is a lower estimate of the true ``||A||_2``.
+    Deterministic; applications are not charged to any counter.  ``A.T`` is
+    applied through scipy's transposed view of A's arrays, which sums each
+    entry of ``A.T @ w`` in the same order as a transposed CSR copy would,
+    without building one.
     Each image is scaled exactly by a power of two
     (:func:`linalg._pow2_scaled`) before its norm is taken and before ``A.T``
     is applied to it, so the estimate neither overflows nor underflows for
     any ``||A||`` a float holds, and it is the unscaled iteration's value
     wherever that one stays in range.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_NORM_EST_SEED))
     At = A._mat.T
     v = rng.standard_normal(A.n)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(_NORM_EST_ITERS):
         w, exp = _pow2_scaled(A.apply(v))
         est = np.ldexp(np.linalg.norm(w), exp)
         if est == 0.0:

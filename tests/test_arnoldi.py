@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mateq import OpCounter, SparseOperator, arnoldi_extend, arnoldi_init
-from mateq.errors import MemoryExhaustedError, RankDeficientBlockError
+from mateq.errors import MemoryBudgetError, RankDeficientBlockError
 
 from conftest import as_op, rng_for, spd_dense, stable_dense
 
@@ -83,7 +83,7 @@ def test_extend_past_max_steps_raises():
                        cnt, max_steps=2)
     arnoldi_extend(dec)
     arnoldi_extend(dec)
-    with pytest.raises(MemoryExhaustedError, match="2 block steps"):
+    with pytest.raises(MemoryBudgetError, match="2 block steps"):
         arnoldi_extend(dec)
     assert dec.m == 2 and cnt.a_calls == 2
 

@@ -12,6 +12,7 @@ from mateq import (
     read_matrix_market,
     restarted_sylv,
 )
+from mateq import baselines, restarted
 from mateq.cli import main
 
 
@@ -45,6 +46,32 @@ def test_gen_convdiff_selects_field(tmp_path):
         back = read_matrix_market(out)
         ref = convdiff_3d(3, 0.01, field)
         assert np.array_equal(back.to_dense(), ref.to_dense())
+
+
+def test_gen_writes_the_second_factor_beside_the_first(tmp_path):
+    # inside a directory named *.mtx only the file name's suffix may change
+    (tmp_path / "runs.mtx").mkdir()
+    rhs = tmp_path / "runs.mtx" / "C.mtx"
+    code = run(["gen", "--problem", "convdiff3d", "--n", "3", "--out", str(tmp_path / "A.mtx"),
+                "--rhs-out", str(rhs), "--s", "2", "--seed", "3"])
+    assert code == 0
+    C, D = (read_dense_matrix_market(str(rhs.with_name(name))) for name in ("C.mtx", "C_D.mtx"))
+    ref_c, ref_d = random_rhs(27, 2, 3, normalize=False, pair=True)
+    assert np.array_equal(C, ref_c) and np.array_equal(D, ref_d)
+
+
+@pytest.mark.parametrize("solver", ["restarted-lyap", "restarted-sylv", "eksm-bcg",
+                                    "eksm-bgmres", "sksm-two-pass"])
+def test_every_solver_rejects_a_bad_residual_tolerance(monkeypatch, capsys, solver):
+    def no_norm_estimate(A):
+        raise AssertionError("the solve started")
+
+    for module in (restarted, baselines):
+        monkeypatch.setattr(module, "estimate_norm2", no_norm_estimate)
+    code = run(["solve", "--problem", "laplacian2d", "--n", "4", "--solver", solver,
+                "--tol-res", "-1"])
+    assert code == 1
+    assert "mateq: error: tol_res must be positive" in capsys.readouterr().err
 
 
 def test_solve_writes_report_and_history(tmp_path):

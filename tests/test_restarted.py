@@ -446,9 +446,8 @@ def test_negative_definite_coefficients_match_oracle():
     ("norm", "nuclear", "norm"),
 ])
 def test_config_validation_rejects_bad_settings(field, value, match):
-    cfg = SolverConfig(memmax=40, **{field: value})
     with pytest.raises(ValueError, match=match):
-        cfg.validate()
+        SolverConfig(memmax=40, **{field: value})
 
 
 def test_right_hand_side_block_shapes():

@@ -14,6 +14,7 @@ from mateq import (
     write_dense_matrix_market,
     write_matrix_market,
 )
+from mateq import sparse
 from mateq.errors import DimensionMismatchError
 
 from conftest import rng_for
@@ -191,13 +192,15 @@ def test_counter_monotone():
     assert cnt.matvecs == sum(widths)
 
 
-def test_estimate_norm2_scaled_identity():
-    assert estimate_norm2(SparseOperator.identity(8, 3.0), iters=1) == pytest.approx(3.0)
+def test_estimate_norm2_scaled_identity(monkeypatch):
+    monkeypatch.setattr(sparse, "_NORM_EST_ITERS", 1)
+    assert estimate_norm2(SparseOperator.identity(8, 3.0)) == pytest.approx(3.0)
 
 
-def test_estimate_norm2_diagonal():
+def test_estimate_norm2_diagonal(monkeypatch):
+    monkeypatch.setattr(sparse, "_NORM_EST_ITERS", 50)
     A = SparseOperator.from_dense(np.diag(np.arange(1.0, 11.0)))
-    est = estimate_norm2(A, iters=50)
+    est = estimate_norm2(A)
     assert 9.99 <= est <= 10.0 + 1e-12
 
 
@@ -220,18 +223,12 @@ def test_from_dense_rejects_bad_input():
         SparseOperator.from_dense(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("iters", [0, -1])
-def test_estimate_norm2_needs_a_step(iters):
-    with pytest.raises(ValueError, match="iters must be >= 1"):
-        estimate_norm2(SparseOperator.identity(4), iters=iters)
-
-
 def test_estimate_norm2_is_lower_bound_and_deterministic():
     rng = rng_for(7)
     M = random_sparse(rng, 30)
     A = SparseOperator.from_dense(M)
-    est = estimate_norm2(A, iters=20, seed=42)
-    assert est == estimate_norm2(A, iters=20, seed=42)
+    est = estimate_norm2(A)
+    assert est == estimate_norm2(A)
     assert est <= np.linalg.norm(M, 2) * (1 + 1e-12)
 
 
@@ -379,4 +376,4 @@ def test_estimate_norm2_applies_transpose_without_a_copy(monkeypatch, build):
         raise AssertionError("estimate_norm2 built a transposed copy")
 
     monkeypatch.setattr(SparseOperator, "transpose", no_copy)
-    assert estimate_norm2(A, iters=20, seed=42) == ref
+    assert estimate_norm2(A) == ref
