@@ -33,10 +33,15 @@ coefficients: pass one runs a block Lanczos three-term recurrence keeping
 three live blocks and monitors the cheap residual; pass two regenerates the
 basis to assemble the solution factor, roughly doubling the operator calls
 but never storing the basis.  Pass one's block tridiagonal H is a plain
-array that each step grows by one block row and column, and each step's
-projected solve (:class:`dense_eq.ProjectedLyapunov`) yields only the last
-block row of the solution, the part the cheap residual reads; the full
-projected solution is formed and checked once, when pass one stops.
+array that each step grows by one block row and column.  Pass one is a
+single long cycle of the restarted drivers' shape, and it solves its
+projected equation only where they would (:func:`restarted._solve_due`:
+where the cheap residual may reach ``tol_res``, at its last step, near the
+full space) and wherever the new block is near rank deficiency, since the
+Krylov space may end there.  Each such solve
+(:class:`dense_eq.ProjectedLyapunov`) yields only the last block row of the
+solution, the part the cheap residual reads; the full projected solution is
+formed and checked once, when pass one stops.
 """
 
 import time
@@ -55,7 +60,7 @@ from .errors import (
     RankDeficientBlockError,
 )
 from .linalg import _cholesky_factors, _cholesky_qr, orthonormalize_block, qr_economy
-from .restarted import _as_blocks, _new_report
+from .restarted import _as_blocks, _new_report, _solve_due
 from .residuals import _row_slices, residual_norm_lyap, true_residual_lyap, true_residual_sylv
 from .sparse import OpCounter, estimate_norm2, spmm
 
@@ -388,11 +393,13 @@ def sksm_two_pass(A, C, tol_res, max_m):
     """Two-pass block Lanczos solver for A X + X A* + C C* = 0, A symmetric.
 
     Pass one keeps only three basis blocks live while growing the projected
-    block tridiagonal matrix and checking the cheap residual each step from
-    the last block row of the projected solution; the whole projected
-    solution is formed once, when pass one stops.  Pass two regenerates the
-    basis to accumulate the solution factor.  A loss of orthogonality shows
-    as a ``residual_gap`` far above 1 in the report.
+    block tridiagonal matrix.  It checks the cheap residual, from the last
+    block row of the projected solution, at the steps where that residual
+    may reach ``tol_res`` (see the module docstring); the other steps hold
+    None in ``residual_history``.  The whole projected solution is formed
+    once, when pass one stops, always at a measured step.  Pass two
+    regenerates the basis to accumulate the solution factor.  A loss of
+    orthogonality shows as a ``residual_gap`` far above 1 in the report.
     """
     if not A.symmetric:
         raise ValueError("two-pass Lanczos requires a symmetric operator")
@@ -419,7 +426,10 @@ def sksm_two_pass(A, C, tol_res, max_m):
     H = np.zeros((0, 0))
     U_prev, U_cur = None, U1
     beta_prev = None
-    for _ in range(max_m):
+    # a new block with sigma_min(beta) <= sqrt(u) ||A|| may end the Krylov
+    # space, where the residual can collapse in one step: such a step solves
+    near_breakdown = np.sqrt(np.finfo(float).eps / 2) * norm_a
+    for j in range(max_m):
         Qn, alpha, beta = lanczos_step(U_prev, U_cur, beta_prev)
         proj = None  # free the last step's k x k arrays before the next solve
         grown = np.zeros((H.shape[0] + s,) * 2)  # one more block row and column
@@ -429,11 +439,15 @@ def sksm_two_pass(A, C, tol_res, max_m):
         if beta_prev is not None:
             H[-s:, -2 * s : -s] = beta_prev
             H[-2 * s : -s, -s:] = beta_prev.T
-        proj = ProjectedLyapunov(H, R0, np.eye(s))
-        r = residual_norm_lyap(beta, proj.last_rows(s), "frobenius")
-        report.residual_history.append(r)
-        if r <= tol_res:
-            break
+        if not (_solve_due(report, j, max_m, s, n)
+                or np.linalg.svd(beta, compute_uv=False)[-1] <= near_breakdown):
+            report.residual_history.append(None)
+        else:
+            proj = ProjectedLyapunov(H, R0, np.eye(s))
+            r = residual_norm_lyap(beta, proj.last_rows(s), "frobenius")
+            report.residual_history.append(r)
+            if r <= tol_res:
+                break
         U_prev, U_cur, beta_prev = U_cur, Qn, beta
     Y = proj.solution()
     proj = H = grown = None

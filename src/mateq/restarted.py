@@ -152,11 +152,12 @@ class SolveReport:
     """Everything a solve run measured, in plot-ready form.
 
     ``residual_history`` holds the cheap residual norm of every inner
-    iteration (absolute, same scale as ``tol_res``), or None for a restarted
-    solver's step that did not solve its projected equation (never the last
-    step of a cycle, and none with ``verify=True``); ``cycle_starts`` marks
-    the 0-based history index where each cycle begins.  Ranks are recorded
-    after the per-cycle compressions.  ``peak_live_columns`` is the largest
+    iteration (absolute, same scale as ``tol_res``), or None for a step of a
+    restarted solver or of ``sksm_two_pass`` that did not solve its projected
+    equation (never the last step of a cycle or of SKSM's first pass, and
+    none with ``verify=True``); ``cycle_starts`` marks the 0-based history
+    index where each cycle begins.  Ranks are recorded after the per-cycle
+    compressions.  ``peak_live_columns`` is the largest
     number of basis columns held simultaneously across all Krylov sessions.
     ``within_residual_bound`` says whether the true residual stays within
     ``residual_bound`` (None for solvers that state no bound).  ``converged``
@@ -314,10 +315,12 @@ def _new_report(solver, C, D, norm_a, norm_b, tol_res=None, memmax=None, config=
     """Open every solver's report for right-hand side C D* and estimates of ``||A||``, ``||B||``.
 
     A restarted solver passes its ``config``, which also sets ``k_max`` and
-    the compression tolerances; a baseline passes ``tol_res`` and its basis
-    budget.  ``||C D*||`` is taken without forming the product.
+    the compression tolerances; a baseline passes ``tol_res``, which must be
+    positive, and its basis budget.  ``||C D*||`` is taken without forming the product.
     """
     n, s = C.shape
+    if tol_res is not None and not tol_res > 0:  # NaN fails too
+        raise ValueError("tol_res must be positive")
     if verify and n > _VERIFY_MAX_N:
         raise ValueError(f"verify mode forms dense residuals; n is limited to {_VERIFY_MAX_N}")
     report = SolveReport(solver=solver, n=n, s=s, norm="frobenius", tol_res=tol_res,
@@ -350,11 +353,14 @@ def _solve_due(report, j, mk, width, n):
     its first known residual to its last), and at most 1.  The squared rate
     and the bounded run of skips cover Krylov convergence that speeds up after
     a slow start.  Callers also solve after a breakdown and at every step in
-    verify mode.
+    verify mode.  ``sksm_two_pass`` asks too: a report with no
+    ``cycle_starts`` (its first pass) reads as one cycle that starts at
+    history index 0, and SKSM, which flags no breakdown, also solves wherever
+    the new Lanczos block is near rank deficiency.
     """
     if j == mk - 1 or (j + 2) * width >= n:
         return True
-    hist, starts = report.residual_history, report.cycle_starts
+    hist, starts = report.residual_history, report.cycle_starts or [0]
     start = starts[-1]
     known = [i for i in range(max(start - 1, 0), len(hist)) if hist[i] is not None]
     if len(known) < 2:

@@ -25,7 +25,7 @@ from mateq.errors import (
     RankDeficientBlockError,
 )
 
-from conftest import as_op, rng_for, spd_dense, stable_dense
+from conftest import as_op, assert_same_counts, rng_for, spd_dense, stable_dense
 
 
 def test_block_cg_identity_one_iteration():
@@ -413,6 +413,63 @@ def test_sksm_checks_the_projected_solution_once(monkeypatch):
     _, rep = sksm_two_pass(A, C, 1e-8, 100)
     assert rep.converged and rep.iterations >= 5
     assert calls == [(2 * rep.iterations, 2 * rep.iterations)]
+
+
+def _sksm_skip_case(case):
+    """``(A, C, tol_res, max_m)``: laplacian_2d(5) ends its Krylov space in a few steps.
+
+    At ``"full-space"`` the run converges at the step whose next basis would
+    span the whole space, which only the ``(j + 2) s >= n`` guard solves.
+    """
+    if case.startswith("lap5"):
+        s, seed = map(int, case.split("-")[1:])
+        A = laplacian_2d(5)
+        return A, rng_for(seed).standard_normal((A.n, s)), 1e-10, A.n // s + 4
+    if case == "full-space":
+        rng = rng_for(1)
+        A = as_op(-spd_dense(rng, 11, 0.2), symmetric=True)
+        C = rng.standard_normal((11, 2))
+        return A, C / np.linalg.norm(C.T @ C) ** 0.5, 1e-6, 9
+    if case == "lap20":
+        A = laplacian_2d(20)
+        return A, random_rhs(A.n, 3, seed=1, normalize=True), 1e-8, 200
+    A = as_op(-spd_dense(rng_for(8), 40), symmetric=True)  # dense SPD
+    return A, rng_for(8).standard_normal((40, 2)), 1e-8, 60
+
+
+_LAP5_CASES = [f"lap5-{s}-{seed}" for s in (1, 2) for seed in range(4)]
+
+
+@pytest.mark.parametrize("case", _LAP5_CASES + ["full-space", "lap20", "dense-spd"])
+def test_sksm_skipped_projected_solves_change_no_count(monkeypatch, case):
+    A, C, tol, max_m = _sksm_skip_case(case)
+    with monkeypatch.context() as every_step:
+        every_step.setattr(baselines, "_solve_due", lambda *args: True)
+        ref_fac, ref = sksm_two_pass(A, C, tol, max_m)
+    built = []
+    projected = baselines.ProjectedLyapunov
+    monkeypatch.setattr(baselines, "ProjectedLyapunov",
+                        lambda *args: built.append(args[0].shape[0]) or projected(*args))
+    fac, rep = sksm_two_pass(A, C, tol, max_m)
+    assert rep.converged and None in rep.residual_history
+    assert None not in ref.residual_history and rep.residual_history[-1] is not None
+    assert_same_counts(rep, ref)
+    assert np.array_equal(fac.C, ref_fac.C) and np.array_equal(fac.S, ref_fac.S)
+    measured = [(j + 1) * C.shape[1] for j, r in enumerate(rep.residual_history) if r is not None]
+    assert built == measured
+
+
+@pytest.mark.parametrize("case", _LAP5_CASES)
+def test_sksm_solves_at_a_near_breakdown(monkeypatch, case):
+    # the Krylov space of laplacian_2d(5) turns invariant and the residual
+    # collapses in one step; with ||A|| estimated as 0 the guard sees only an
+    # exact breakdown, the collapse is skipped and the run takes more steps
+    A, C, tol, max_m = _sksm_skip_case(case)
+    _, rep = sksm_two_pass(A, C, tol, max_m)
+    monkeypatch.setattr(baselines, "estimate_norm2", lambda A: 0.0)
+    _, unguarded = sksm_two_pass(A, C, tol, max_m)
+    assert rep.converged and unguarded.converged
+    assert unguarded.iterations > rep.iterations
 
 
 def test_sksm_requires_symmetric():

@@ -100,6 +100,16 @@ def _dat_rows(path):
     return [line.split() for line in open(path).read().splitlines()]
 
 
+def _assert_measured_residual_rows(hist, rep):
+    """Steps that skipped their projected solve hold null and get no row."""
+    rows = _dat_rows(hist + "_residual_norms.dat")
+    measured = [(i, r) for i, r in enumerate(rep["residual_history"], start=1) if r is not None]
+    assert len(measured) < rep["iterations"]
+    assert [int(i) for i, _ in rows] == [i for i, _ in measured]
+    assert [float(r) for _, r in rows] == pytest.approx(
+        [r / rep["rhs_norm"] for _, r in measured], rel=1e-6)
+
+
 def test_history_files_of_a_restarted_solve_match_the_report(tmp_path):
     rep_path = str(tmp_path / "rep.json")
     hist = str(tmp_path / "h")
@@ -116,18 +126,25 @@ def test_history_files_of_a_restarted_solve_match_the_report(tmp_path):
     rows = _dat_rows(hist + "_eig.dat")
     assert [int(k) for k, _, _ in rows] == list(range(len(rep["min_eigenvalues"])))
     assert [float(e) for _, e, _ in rows] == pytest.approx(rep["min_eigenvalues"], rel=1e-6)
-    # steps that skipped their projected solve hold null and get no row
-    rows = _dat_rows(hist + "_residual_norms.dat")
-    measured = [(i, r) for i, r in enumerate(rep["residual_history"], start=1) if r is not None]
-    assert len(measured) < rep["iterations"]
-    assert [int(i) for i, _ in rows] == [i for i, _ in measured]
-    assert [float(r) for _, r in rows] == pytest.approx(
-        [r / rep["rhs_norm"] for _, r in measured], rel=1e-6)
+    _assert_measured_residual_rows(hist, rep)
     # a cycle's first step is always measured: one marker per cycle
     rows = _dat_rows(hist + "_cycle_markers.dat")
     assert [int(i) for i, _ in rows] == [start + 1 for start in rep["cycle_starts"]]
     marked = [rep["residual_history"][start] / rep["rhs_norm"] for start in rep["cycle_starts"]]
     assert [float(r) for _, r in rows] == pytest.approx(marked, rel=1e-6)
+
+
+def test_history_file_of_an_sksm_solve_holds_only_measured_steps(tmp_path):
+    rep_path = str(tmp_path / "rep.json")
+    hist = str(tmp_path / "h")
+    code = run(["solve", "--problem", "laplacian2d", "--n", "12", "--s", "2",
+                "--seed", "1", "--normalize", "--solver", "sksm-two-pass",
+                "--tol-res", "1e-8", "--out", rep_path, "--history-out", hist])
+    assert code == 0
+    rep = json.load(open(rep_path))
+    assert rep["converged"] and len(rep["residual_history"]) == rep["iterations"]
+    assert rep["residual_history"][-1] is not None
+    _assert_measured_residual_rows(hist, rep)
 
 
 def test_solve_file_problem_roundtrip(tmp_path):

@@ -1,21 +1,25 @@
-"""Property tests of both restarted drivers against the Kronecker oracle.
+"""Property tests of both restarted drivers and of SKSM against the Kronecker oracle.
 
 Small nonnormal stable instances (``conftest.stable_dense``, n <= 20) with
 block widths 1 to 3 and memory budgets from 4 s (Lyapunov) or from the
 smallest that runs a Sylvester cycle (6 s) up, solved in verify mode.  A run
 whose restart residual outgrows the budget stops unconverged and is checked
 like any other.  Each instance is solved a second time without verify mode,
-which skips projected solves, and must count the same.  Hypothesis runs
-derandomized, so every run draws the same examples.
+which skips projected solves, and must count the same.  ``sksm_two_pass``
+has no verify mode: each SKSM instance (symmetric negative definite, n <= 20)
+is solved once with every step's projected solve forced and once skipping,
+and the two must count the same.  Hypothesis runs derandomized, so every
+run draws the same examples.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mateq import SolverConfig, kron_oracle, restarted_lyap, restarted_sylv
+from mateq import SolverConfig, kron_oracle, restarted_lyap, restarted_sylv, sksm_two_pass
+from mateq import baselines
 
-from conftest import as_op, assert_same_counts, rng_for, stable_dense
+from conftest import as_op, assert_same_counts, rng_for, spd_dense, stable_dense
 from test_compression import _two_eigenvalue_matrix
 
 _PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -79,6 +83,27 @@ def test_restarted_lyap_properties(instance):
     _check_report(rep, lambda X: A @ X + X @ A.T + C @ C.T, fac.to_dense(),
                   kron_oracle(A, A.T, C @ C.T), _sep(A, A.T))
     assert_same_counts(restarted_lyap(as_op(A), C, cfg)[1], rep)
+
+
+@_PROPERTY
+@given(st.integers(4, 20), st.integers(1, 3), st.floats(4, 10), st.integers(0, 2**16))
+def test_sksm_two_pass_properties(n, s, digits, seed):
+    rng = rng_for(seed)
+    A = -spd_dense(rng, n, 0.2)
+    C = rng.standard_normal((n, s))
+    C /= np.linalg.norm(C.T @ C) ** 0.5
+    tol, max_m = 10.0 ** -digits, n // s + 4
+    fac, rep = sksm_two_pass(as_op(A, symmetric=True), C, tol, max_m)
+    with pytest.MonkeyPatch.context() as every_step:
+        every_step.setattr(baselines, "_solve_due", lambda *args: True)
+        ref = sksm_two_pass(as_op(A, symmetric=True), C, tol, max_m)[1]
+    assert_same_counts(rep, ref)
+    X = fac.to_dense()
+    dense = np.linalg.norm(A @ X + X @ A + C @ C.T)
+    assert abs(rep.true_residual - dense) <= 1e-12 * rep.rhs_norm
+    # X - Xo solves the Kronecker system with right-hand side A X + X A + C C*
+    Xo = kron_oracle(A, A, C @ C.T)
+    assert np.linalg.norm(X - Xo) <= (dense + 1e-12 * rep.rhs_norm) / _sep(A, A)
 
 
 @pytest.mark.parametrize("driver", ["sylv", "lyap"])

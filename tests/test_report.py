@@ -178,3 +178,20 @@ def test_cycle_close_records_the_per_step_peak_of_live_columns(monkeypatch, name
     steps = held if name == "restarted-lyap" else [a + b for a, b in zip(held[::2], held[1::2])]
     assert rep.restarts >= 1
     assert rep.peak_live_columns == max(steps)
+
+
+BASELINES_AT = {
+    "eksm-lyap": lambda tol: eksm_lyap(A6, C6, CG, tol, 12),
+    "eksm-sylv": lambda tol: eksm_sylv(A6, A6, C6, C6, GMRES, tol, 12),
+    "sksm-two-pass": lambda tol: sksm_two_pass(A6, C6, tol, 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASELINES_AT))
+@pytest.mark.parametrize("tol_res", [0.0, -1.0, float("nan")])
+def test_every_baseline_rejects_a_nonpositive_tol_res_before_any_product(monkeypatch, name,
+                                                                         tol_res):
+    for module in (arnoldi, baselines):
+        monkeypatch.setattr(module, "spmm", lambda *args: pytest.fail("product before check"))
+    with pytest.raises(ValueError, match="tol_res must be positive"):
+        BASELINES_AT[name](tol_res)
