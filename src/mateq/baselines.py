@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arnoldi import _check_full_rank, arnoldi_extend, arnoldi_init
+from .arnoldi import _check_full_rank, _near_breakdown, arnoldi_extend, arnoldi_init
 from .compression import (SymLowRankFactor, TruncationRule, _balanced, _eig_by_magnitude,
                           _svd_by_magnitude)
 from .dense_eq import ProjectedLyapunov, solve_lyapunov_ldlt, solve_sylvester_dense
@@ -426,9 +426,6 @@ def sksm_two_pass(A, C, tol_res, max_m):
     H = np.zeros((0, 0))
     U_prev, U_cur = None, U1
     beta_prev = None
-    # a new block with sigma_min(beta) <= sqrt(u) ||A|| may end the Krylov
-    # space, where the residual can collapse in one step: such a step solves
-    near_breakdown = np.sqrt(np.finfo(float).eps / 2) * norm_a
     for j in range(max_m):
         Qn, alpha, beta = lanczos_step(U_prev, U_cur, beta_prev)
         proj = None  # free the last step's k x k arrays before the next solve
@@ -439,8 +436,7 @@ def sksm_two_pass(A, C, tol_res, max_m):
         if beta_prev is not None:
             H[-s:, -2 * s : -s] = beta_prev
             H[-2 * s : -s, -s:] = beta_prev.T
-        if not (_solve_due(report, j, max_m, s, n)
-                or np.linalg.svd(beta, compute_uv=False)[-1] <= near_breakdown):
+        if not (_solve_due(report, j, max_m, s, n) or _near_breakdown(beta, norm_a)):
             report.residual_history.append(None)
         else:
             proj = ProjectedLyapunov(H, R0, np.eye(s))

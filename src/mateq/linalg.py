@@ -17,6 +17,17 @@ more than a negligible lean or the second pass's factor is far from the
 identity.  A Householder QR stands in only where the Cholesky
 factorization fails.
 
+The step's two projections ``U.T @ W`` (:func:`_project`) read the basis U
+in row panels of 512 KiB (``2**16 // k`` rows of a k-column U) and sum the
+panels' k x s products, the row-blocked reduction of TSQR (Demmel, Grigori,
+Hoemmen & Langou, SISC 2012), once U holds at least four panels (2 MiB); a
+smaller U takes the single product, since there the loop costs more than it
+saves.  The arithmetic is the same, in another order.  The reason is
+OpenBLAS: on one thread, with a block a few columns wide, its single
+``U.T @ W`` reads a U of more than about 2 MiB at about half the rate the
+panels do.  The updates ``U @ P`` and the Gram matrices ``W.T @ W`` stay
+single products: panels did not make them faster.
+
 One helper, :func:`_cholesky_factors`, factors every small SPD matrix with
 LAPACK's ``potrf`` and ``trtri`` through scipy: on matrices a few rows wide
 numpy's wrappers cost several times the arithmetic, and OpenBLAS runs them
@@ -34,6 +45,11 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from .errors import DimensionMismatchError, NonConvergenceError
 
 __all__ = ["qr_economy", "orthonormalize_block", "svd", "eig_sym", "check_symmetric"]
+
+# orthonormalize_block's projections U.T @ W run over row panels of U of
+# _PANEL_ENTRIES entries (512 KiB) once U holds _PANEL_MIN of them (2 MiB)
+_PANEL_ENTRIES = 2**16
+_PANEL_MIN = 4
 
 
 def _all_finite(M):
@@ -165,6 +181,23 @@ def _cholesky_qr(W, gram, out):
     return lo.T
 
 
+def _project(U, W):
+    """``U.T @ W``, summed over row panels of ``U`` once it is large enough.
+
+    A panel holds ``_PANEL_ENTRIES`` entries (512 KiB, at least one row); a
+    ``U`` of fewer than ``_PANEL_MIN`` panels takes the single product.  Only
+    the k x s partial product is allocated per panel.
+    """
+    n, k = U.shape
+    if n * k < _PANEL_MIN * _PANEL_ENTRIES:
+        return U.T @ W
+    height = max(_PANEL_ENTRIES // k, 1)
+    P = U[:height].T @ W[:height]
+    for start in range(height, n, height):
+        P += U[start:start + height].T @ W[start:start + height]
+    return P
+
+
 def orthonormalize_block(U, W):
     """Orthonormalize the column block ``W`` against the orthonormal ``U``, in place.
 
@@ -188,13 +221,15 @@ def orthonormalize_block(U, W):
     the passes' triangular factors.  A Householder QR stands in for a pass
     whose Cholesky factorization fails, which happens only beyond condition
     numbers of about ``1 / u``, near a happy breakdown, or on a rank-deficient
-    block.  Besides ``P`` and s x s matrices, the step allocates one scratch
-    block like ``W``; products and passes alternate between the two.  An
-    empty ``W`` (s = 0) gives a k x 0 ``P`` and a 0 x 0 ``R``.
+    block.  The projections run over row panels of a ``U`` of 2 MiB or more
+    (:func:`_project`).  Besides k x s and s x s matrices, the step
+    allocates one scratch block like ``W``; products and passes alternate
+    between the two.  An empty ``W`` (s = 0) gives a k x 0 ``P`` and a 0 x 0
+    ``R``.
     """
     n, s = W.shape
     buf = np.empty_like(W)
-    P = U.T @ W
+    P = _project(U, W)
     W -= np.matmul(U, P, out=buf)
     u = np.finfo(float).eps / 2
     gram = W.T @ W
@@ -202,7 +237,7 @@ def orthonormalize_block(U, W):
     R = _cholesky_qr(W, gram, buf)
     R2 = _cholesky_qr(buf, buf.T @ buf, W)
     R = R2 @ R
-    G = U.T @ W
+    G = _project(U, W)
     W -= np.matmul(U, G, out=buf)
     P += G @ R  # W_in = U P + Q R still holds
     if np.linalg.norm(G) > 1e-8 or np.linalg.norm(R2 - np.eye(s)) > 1e-4:

@@ -3,12 +3,13 @@
 Both drivers run cycles of the block Arnoldi projection method under a hard
 budget on simultaneously stored basis columns.  Each cycle solves a small
 projected equation and checks a cheap residual norm at the inner steps where
-that residual may reach the tolerance (:func:`_solve_due`), and always at the
-cycle's last step, whose solution alone feeds what follows.  On restart, the
-residual of the accumulated solution is itself a low-rank product assembled
-from the boundary blocks of the Arnoldi relation, so it is compressed and
-used as the next cycle's right-hand side.  The accumulated
-solution factors are compressed after every cycle as well.
+that residual may reach the tolerance (:func:`_solve_due`, or a new block
+near rank deficiency), and always at the cycle's last step, whose solution
+alone feeds what follows.  On restart, the residual of the accumulated
+solution is itself a low-rank product assembled from the boundary blocks of
+the Arnoldi relation, so it is compressed and used as the next cycle's
+right-hand side.  The accumulated solution factors are compressed after
+every cycle as well.
 
 Both compressions run in coefficient space (:class:`BasisFactor`).  The
 residual factor ``[U_{m+1} H_{m+1,m}, V_m Y]`` is a small coefficient matrix
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arnoldi import arnoldi_extend, arnoldi_init
+from .arnoldi import _near_breakdown, arnoldi_extend, arnoldi_init
 from .compression import (
     BasisFactor,
     SymLowRankFactor,
@@ -352,11 +353,12 @@ def _solve_due(report, j, mk, width, n):
     smaller of this cycle's and the previous cycle's mean per-step rate (from
     its first known residual to its last), and at most 1.  The squared rate
     and the bounded run of skips cover Krylov convergence that speeds up after
-    a slow start.  Callers also solve after a breakdown and at every step in
-    verify mode.  ``sksm_two_pass`` asks too: a report with no
-    ``cycle_starts`` (its first pass) reads as one cycle that starts at
-    history index 0, and SKSM, which flags no breakdown, also solves wherever
-    the new Lanczos block is near rank deficiency.
+    a slow start.  Callers also solve at every step in verify mode, after a
+    breakdown and wherever the new block's R factor is near rank deficiency
+    (:func:`arnoldi._near_breakdown`: the Krylov space may end there and the
+    residual collapse in one step).  ``sksm_two_pass`` asks too: a report
+    with no ``cycle_starts`` (its first pass) reads as one cycle that starts
+    at history index 0.
     """
     if j == mk - 1 or (j + 2) * width >= n:
         return True
@@ -443,7 +445,9 @@ def restarted_sylv(A, B, C, D, config, verify=False):
             arnoldi_extend(dec_a)
             arnoldi_extend(dec_b)
             if not (verify or dec_a.breakdown or dec_b.breakdown
-                    or _solve_due(report, j, mk, sk, n)):
+                    or _solve_due(report, j, mk, sk, n)
+                    or _near_breakdown(dec_a.boundary, norm_a)
+                    or _near_breakdown(dec_b.boundary, norm_b)):
                 report.residual_history.append(None)
                 continue
             ka, kb = dec_a.m * sk, dec_b.m * sk
@@ -534,7 +538,8 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         for j in range(mk):
             arnoldi_extend(dec)
             proj = H = None  # free the last step's k x k arrays before the next solve
-            if not (verify or dec.breakdown or _solve_due(report, j, mk, sk, n)):
+            if not (verify or dec.breakdown or _solve_due(report, j, mk, sk, n)
+                    or _near_breakdown(dec.boundary, norm_a)):
                 report.residual_history.append(None)
                 continue
             # symmetric to roundoff for symmetric A; made exact, it takes the eigh route

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mateq import OpCounter, SparseOperator, arnoldi_extend, arnoldi_init
+from mateq import OpCounter, SparseOperator, arnoldi_extend, arnoldi_init, convdiff_3d, linalg, random_rhs
 from mateq.errors import MemoryBudgetError, RankDeficientBlockError
 
 from conftest import as_op, rng_for, spd_dense, stable_dense
@@ -192,3 +192,23 @@ def test_extended_basis_orthonormal_when_image_nearly_inside_basis(delta):
     if dec.breakdown:
         assert np.abs(np.diagonal(dec.boundary)).min() <= 1e-12 * np.linalg.norm(Ad)
         assert np.linalg.norm(dec.basis.T @ dec.boundary_image()) <= 1e-12 * np.linalg.norm(Ad)
+
+
+def test_first_sylvester_cycle_basis_in_panels_stays_orthonormal(monkeypatch):
+    # the A-side basis of restarted_sylv's first cycle at the benchmark's
+    # convdiff_3d(20), memmax 198: 31 steps at s = 3, up to 96 columns; from
+    # 33 basis columns on, U exceeds four row panels and both projections of
+    # a step run over panels
+    project = linalg._project
+    widths = []
+    monkeypatch.setattr(linalg, "_project", lambda U, W: widths.append(U.shape[1]) or project(U, W))
+    A = convdiff_3d(20, 0.01, "wA")
+    C, _ = random_rhs(A.n, 3, seed=0, normalize=True, pair=True)
+    dec = arnoldi_init(A, C, OpCounter(), max_steps=31)
+    for _ in range(31):
+        arnoldi_extend(dec)
+    E = dec.extended_basis
+    assert not dec.breakdown and E.shape == (8000, 96)
+    assert np.linalg.norm(E.T @ E - np.eye(96)) <= 1e-12
+    panelled = [k for k in widths if A.n * k >= linalg._PANEL_MIN * linalg._PANEL_ENTRIES]
+    assert len(panelled) == 2 * 21

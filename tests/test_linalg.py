@@ -226,28 +226,39 @@ def _assert_orthonormalized(U, W0, W, P, R):
     assert np.array_equal(R, np.triu(R)) and np.all(np.diagonal(R) >= 0)
 
 
-def _leaning_block(delta):
-    """``(U, W)`` with ``W = U M + delta N``, N of full rank, U 300 x 40 and W 300 x 5.
+# a 7000 x 40 U holds four whole row panels of orthonormalize_block's
+# projections and a partial fifth
+_PANELLED_N = 7000
+
+
+def test_panelled_size_crosses_the_threshold():
+    height = linalg._PANEL_ENTRIES // 40
+    assert _PANELLED_N * 40 >= linalg._PANEL_MIN * linalg._PANEL_ENTRIES > 300 * 40
+    assert _PANELLED_N % height
+
+
+def _leaning_block(delta, n=300):
+    """``(U, W)`` with ``W = U M + delta N``, N of full rank, U n x 40 and W n x 5.
 
     A small delta leaves the projected block leaning on U far above roundoff,
     and only the second projection removes the lean.
     """
     rng = rng_for(12)
-    n, k, s = 300, 40, 5
+    k, s = 40, 5
     U, _ = np.linalg.qr(rng.standard_normal((n, k)))
     U = np.asfortranarray(U)
     return U, U @ rng.standard_normal((k, s)) + delta * rng.standard_normal((n, s))
 
 
-def _swept_block(kappa, s, in_span=True):
-    """``(U, W)`` with ``W = U M + N`` (or N alone), U 300 x 40 and W 300 x s.
+def _swept_block(kappa, s, in_span=True, n=300):
+    """``(U, W)`` with ``W = U M + N`` (or N alone), U n x 40 and W n x s.
 
     N lies outside span(U) with singular values spread geometrically down to
     1 / kappa (for s = 1 its one value is 1 / kappa); kappa = inf zeroes W's
     last column, an exactly rank-deficient block.
     """
     rng = rng_for(40)
-    n, k = 300, 40
+    k = 40
     U, _ = np.linalg.qr(rng.standard_normal((n, k)))
     U = np.asfortranarray(U)
     X, _ = np.linalg.qr(rng.standard_normal((n, s)))
@@ -289,9 +300,13 @@ def test_orthonormalize_block_against_basis(monkeypatch, delta):
     assert calls == (2 if delta == 1.0 else 3)
 
 
-@pytest.mark.parametrize("s", [1, 3, 18])
-@pytest.mark.parametrize("kappa", [1.0, 1e7, 1e12, np.inf])
-def test_orthonormalize_block_condition_sweep(monkeypatch, kappa, s):
+@pytest.mark.parametrize("delta", [1e-9, 1e-12])
+def test_orthonormalize_block_against_basis_in_panels(monkeypatch, delta):
+    calls, _ = _factorizations(monkeypatch, *_leaning_block(delta, _PANELLED_N))
+    assert calls == 3
+
+
+def _check_condition_sweep(monkeypatch, kappa, s, n=300):
     householder = linalg._qr_reduced_signed
     counts = {"householder": 0}
 
@@ -300,13 +315,42 @@ def test_orthonormalize_block_condition_sweep(monkeypatch, kappa, s):
         return householder(M)
 
     monkeypatch.setattr(linalg, "_qr_reduced_signed", counted_householder)
-    calls, failed = _factorizations(monkeypatch, *_swept_block(kappa, s))
+    calls, failed = _factorizations(monkeypatch, *_swept_block(kappa, s, n=n))
     assert counts["householder"] == failed
     # the shift keeps Cholesky alive on these full-rank blocks; the zero
     # column leaves one pass a singular Gram matrix
     assert counts["householder"] == (1 if kappa == np.inf else 0)
     # a well-conditioned block needs no third pass; an ill-conditioned one does
     assert calls == (2 if kappa == 1.0 else 3)
+
+
+@pytest.mark.parametrize("s", [1, 3, 18])
+@pytest.mark.parametrize("kappa", [1.0, 1e7, 1e12, np.inf])
+def test_orthonormalize_block_condition_sweep(monkeypatch, kappa, s):
+    _check_condition_sweep(monkeypatch, kappa, s)
+
+
+@pytest.mark.parametrize("kappa", [1e12, np.inf])
+def test_orthonormalize_block_condition_sweep_in_panels(monkeypatch, kappa):
+    _check_condition_sweep(monkeypatch, kappa, 3, _PANELLED_N)
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 5000])
+def test_panelled_projection_is_the_single_product_to_roundoff(n):
+    # at k = 64 panels are 1024 rows and start at n = 4096; below that the
+    # projection is the single product, from there the panel loop written out
+    rng = rng_for(42)
+    U = np.asfortranarray(rng.standard_normal((n, 64)))
+    W = np.asfortranarray(rng.standard_normal((n, 3)))
+    project = linalg._project(U, W)
+    if n < 4096:
+        assert np.array_equal(project, U.T @ W)
+        return
+    ref = U[:1024].T @ W[:1024]
+    for start in range(1024, n, 1024):
+        ref += U[start:start + 1024].T @ W[start:start + 1024]
+    assert np.array_equal(project, ref)
+    assert np.linalg.norm(project - U.T @ W) <= 1e-14 * np.linalg.norm(U) * np.linalg.norm(W)
 
 
 def test_orthonormalize_block_last_pass_when_second_factor_is_far_from_identity(monkeypatch):
@@ -318,7 +362,8 @@ def test_orthonormalize_block_last_pass_when_second_factor_is_far_from_identity(
     assert calls == 3
 
 
-@pytest.mark.parametrize("n, k, s", [(50, 7, 0), (50, 0, 4), (50, 0, 0)])
+@pytest.mark.parametrize("n, k, s", [(50, 7, 0), (50, 0, 4), (50, 0, 0),
+                                     (_PANELLED_N, 40, 0), (_PANELLED_N, 0, 3)])
 def test_orthonormalize_block_empty(capfd, n, k, s):
     rng = rng_for(41)
     U, _ = np.linalg.qr(rng.standard_normal((n, k)))

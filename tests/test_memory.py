@@ -171,14 +171,17 @@ def test_sksm_first_pass_holds_its_projected_matrix_once(monkeypatch):
 def test_orthonormalize_block_holds_one_scratch_block(delta):
     # beyond W, one block step may hold one n x s scratch block, its k x s
     # projection coefficients (P and the second sweep's G) and small s x s
-    # matrices; a Householder QR of W would hold a second n x s block
+    # matrices; a Householder QR of W would hold a second n x s block.  At
+    # n = 7000 the projections run over row panels of U: their partial
+    # products are k x s, and a copy of one panel would break the budget
     rng = rng_for(7)
-    n, k, s = 2000, 40, 18
-    U, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    U = np.asfortranarray(U)
-    W = np.asfortranarray(U @ rng.standard_normal((k, s)) + delta * rng.standard_normal((n, s)))
-    _, peak = _traced_peak(lambda: orthonormalize_block(U, W))
-    assert peak <= 8 * (n * s + 2 * k * s + 10 * s * s), f"{peak / (8 * n * s):.2f} n x s blocks"
+    k, s = 40, 18
+    for n in (2000, 7000):
+        U, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        U = np.asfortranarray(U)
+        W = np.asfortranarray(U @ rng.standard_normal((k, s)) + delta * rng.standard_normal((n, s)))
+        _, peak = _traced_peak(lambda: orthonormalize_block(U, W))
+        assert peak <= 8 * (n * s + 2 * k * s + 10 * s * s), f"{peak / (8 * n * s):.2f} n x s blocks"
 
 
 @pytest.mark.parametrize("sym", [True, False], ids=["compress_sym", "compress"])

@@ -312,6 +312,30 @@ def test_full_space_steps_always_solve(monkeypatch, driver):
     assert ref.iterations == 21 and rep.iterations > ref.iterations
 
 
+@pytest.mark.parametrize("driver, memmax", [("lyap", 24), ("lyap", 60), ("sylv", 48), ("sylv", 120)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_collapsing_step_is_solved(monkeypatch, driver, memmax, seed):
+    # from these columns laplacian_2d(6)'s Krylov space turns invariant to
+    # roundoff at step 19, where the residual falls from about 1e-8 to 1e-19
+    # while min|diag R| stays above the breakdown test's 1e-12 ||A||; the
+    # sqrt(u) ||A|| guard on the new block's R solves that step, as verify
+    # mode does, and without it the run takes a step more
+    A = laplacian_2d(6)
+    C = rng_for(seed).standard_normal((A.n, 1))
+    cfg = SolverConfig(memmax=memmax, tol_res=1e-11)
+
+    def solve(verify=False):
+        if driver == "sylv":
+            return restarted_sylv(A, A, C, C, cfg, verify=verify)[1]
+        return restarted_lyap(A, C, cfg, verify=verify)[1]
+
+    ref, rep = solve(verify=True), solve()
+    assert rep.converged and ref.iterations == 19
+    assert_same_counts(rep, ref)
+    monkeypatch.setattr(restarted, "_near_breakdown", lambda R, norm: False)
+    assert solve().iterations == 20
+
+
 def test_slow_start_needs_the_skip_bound(monkeypatch):
     # the residual falls slowly over the first steps, then fast: with no bound
     # on a run of skips the converging step is skipped and the run goes on
