@@ -12,8 +12,8 @@ newest block in place, in one preallocated Fortran-ordered basis, with
 once more, and a third pass only where that projection removed more than a
 negligible lean or the block was ill-conditioned; Householder QR only where
 Cholesky fails).  Its two projections read the basis in row panels of
-512 KiB once it holds 2 MiB (about 33 columns at n = 8000); on one BLAS
-thread they read it that way about twice as fast.  The basis stays
+512 KiB once it holds 2 MiB (about 33 columns at n = 8000), where one BLAS
+thread reads it slowly in a single product.  The basis stays
 orthonormal to roundoff even when the image falls nearly inside it: the
 tests hold ``||E.T E - I||_F <= 1e-12`` for the extended basis E in that
 case, and over a 96-column basis projected in panels.
@@ -21,10 +21,7 @@ case, and over a 96-column basis projected in panels.
 Rank deficiency of the incoming block is not deflated: a deficient starting
 block raises, and a deficient extension is a happy breakdown, reported only
 through the session's ``breakdown`` flag: the basis is then (numerically)
-invariant under A and the session takes no further steps.  A new block whose
-R factor has ``sigma_min <= sqrt(u) ||A||`` (:func:`_near_breakdown`) may end
-the Krylov space within roundoff before that flag is set, so the solvers
-solve their projected equation at such a step too.
+invariant under A and the session takes no further steps.
 """
 
 import numpy as np
@@ -126,17 +123,6 @@ def _check_full_rank(R):
         raise RankDeficientBlockError(
             f"starting block is numerically rank deficient (sigma_min/sigma_max = {sig[-1] / sig[0]:.3e})"
         )
-
-
-def _near_breakdown(R, norm):
-    """Whether a new block's R factor has ``sigma_min(R) <= sqrt(u) * norm``, u the unit roundoff.
-
-    ``norm`` estimates the operator's norm.  The Krylov space may end within
-    roundoff at such a block, and the residual collapse in one step, before
-    the breakdown test on R's diagonal fires; the solvers solve their
-    projected equation there.
-    """
-    return np.linalg.svd(R, compute_uv=False)[-1] <= np.sqrt(np.finfo(float).eps / 2) * norm
 
 
 def arnoldi_extend(dec):

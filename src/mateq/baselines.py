@@ -35,13 +35,10 @@ basis to assemble the solution factor, roughly doubling the operator calls
 but never storing the basis.  Pass one's block tridiagonal H is a plain
 array that each step grows by one block row and column.  Pass one is a
 single long cycle of the restarted drivers' shape, and it solves its
-projected equation only where they would (:func:`restarted._solve_due`:
-where the cheap residual may reach ``tol_res``, at its last step, near the
-full space) and wherever the new block is near rank deficiency, since the
-Krylov space may end there.  Each such solve
-(:class:`dense_eq.ProjectedLyapunov`) yields only the last block row of the
-solution, the part the cheap residual reads; the full projected solution is
-formed and checked once, when pass one stops.
+projected equation only at the steps :func:`restarted._solve_due` picks.
+Each such solve (:class:`dense_eq.ProjectedLyapunov`) yields only the last
+block row of the solution, the part the cheap residual reads; the full
+projected solution is formed and checked once, when pass one stops.
 """
 
 import time
@@ -49,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arnoldi import _check_full_rank, _near_breakdown, arnoldi_extend, arnoldi_init
+from .arnoldi import _check_full_rank, arnoldi_extend, arnoldi_init
 from .compression import (SymLowRankFactor, TruncationRule, _balanced, _eig_by_magnitude,
                           _svd_by_magnitude)
 from .dense_eq import ProjectedLyapunov, solve_lyapunov_ldlt, solve_sylvester_dense
@@ -60,7 +57,7 @@ from .errors import (
     RankDeficientBlockError,
 )
 from .linalg import _cholesky_factors, _cholesky_qr, orthonormalize_block, qr_economy
-from .restarted import _as_blocks, _new_report, _solve_due
+from .restarted import _as_blocks, _as_count, _new_report, _solve_due
 from .residuals import _row_slices, residual_norm_lyap, true_residual_lyap, true_residual_sylv
 from .sparse import OpCounter, estimate_norm2, spmm
 
@@ -313,6 +310,7 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
     inner solve.
     """
     C, _ = _as_blocks(A, A, C, C)
+    max_dim = _as_count("max_dim", max_dim)
     t0 = time.perf_counter()
     counter = OpCounter()
     s = C.shape[1]
@@ -354,6 +352,7 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
     inner solve.
     """
     C, D = _as_blocks(A, B, C, D)
+    max_dim = _as_count("max_dim", max_dim)
     t0 = time.perf_counter()
     cnt_a, cnt_b = OpCounter(), OpCounter()
     norm_a, norm_b = estimate_norm2(A), estimate_norm2(B)
@@ -394,15 +393,16 @@ def sksm_two_pass(A, C, tol_res, max_m):
 
     Pass one keeps only three basis blocks live while growing the projected
     block tridiagonal matrix.  It checks the cheap residual, from the last
-    block row of the projected solution, at the steps where that residual
-    may reach ``tol_res`` (see the module docstring); the other steps hold
-    None in ``residual_history``.  The whole projected solution is formed
+    block row of the projected solution, at the steps
+    :func:`restarted._solve_due` picks; the other steps hold None in
+    ``residual_history``.  The whole projected solution is formed
     once, when pass one stops, always at a measured step.  Pass two
     regenerates the basis to accumulate the solution factor.  A loss of
     orthogonality shows as a ``residual_gap`` far above 1 in the report.
     """
     if not A.symmetric:
         raise ValueError("two-pass Lanczos requires a symmetric operator")
+    max_m = _as_count("max_m", max_m)
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
     C, _ = _as_blocks(A, A, C, C)
@@ -436,15 +436,14 @@ def sksm_two_pass(A, C, tol_res, max_m):
         if beta_prev is not None:
             H[-s:, -2 * s : -s] = beta_prev
             H[-2 * s : -s, -s:] = beta_prev.T
-        if not (_solve_due(report, j, max_m, s, n) or _near_breakdown(beta, norm_a)):
-            report.residual_history.append(None)
-        else:
-            proj = ProjectedLyapunov(H, R0, np.eye(s))
-            r = residual_norm_lyap(beta, proj.last_rows(s), "frobenius")
-            report.residual_history.append(r)
-            if r <= tol_res:
-                break
         U_prev, U_cur, beta_prev = U_cur, Qn, beta
+        if not _solve_due(report, j, max_m, s, n, ((beta, norm_a),)):
+            continue
+        proj = ProjectedLyapunov(H, R0, np.eye(s))
+        r = residual_norm_lyap(beta, proj.last_rows(s), "frobenius")
+        report.residual_history.append(r)
+        if r <= tol_res:
+            break
     Y = proj.solution()
     proj = H = grown = None
     report.iterations = m = len(report.residual_history)

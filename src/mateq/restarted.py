@@ -2,9 +2,8 @@
 
 Both drivers run cycles of the block Arnoldi projection method under a hard
 budget on simultaneously stored basis columns.  Each cycle solves a small
-projected equation and checks a cheap residual norm at the inner steps where
-that residual may reach the tolerance (:func:`_solve_due`, or a new block
-near rank deficiency), and always at the cycle's last step, whose solution
+projected equation and checks a cheap residual norm at the inner steps that
+:func:`_solve_due` picks, among them the cycle's last step, whose solution
 alone feeds what follows.  On restart, the residual of the accumulated
 solution is itself a low-rank product assembled from the boundary blocks of
 the Arnoldi relation, so it is compressed and used as the next cycle's
@@ -47,12 +46,13 @@ tolerance, which is what :func:`eval_residual_bound` evaluates and what the
 default compression-tolerance rule keeps below ``tol_res``.
 """
 
+import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arnoldi import _near_breakdown, arnoldi_extend, arnoldi_init
+from .arnoldi import arnoldi_extend, arnoldi_init
 from .compression import (
     BasisFactor,
     SymLowRankFactor,
@@ -89,8 +89,7 @@ __all__ = [
 ]
 
 _VERIFY_MAX_N = 2000
-# a step skips its projected solve while the extrapolated cheap residual stays
-# above this multiple of tol_res, and for at most this many steps in a row
+# _solve_due's extrapolation margin (a multiple of tol_res) and its bound on skips in a row
 _SOLVE_MARGIN = 30.0
 _MAX_SKIPS = 7
 
@@ -126,6 +125,8 @@ class SolverConfig:
     norm: str = "frobenius"
 
     def __post_init__(self):
+        self.memmax = _as_count("memmax", self.memmax)
+        self.k_max = _as_count("k_max", self.k_max)
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
         if not self.tol_res > 0:
@@ -153,10 +154,9 @@ class SolveReport:
     """Everything a solve run measured, in plot-ready form.
 
     ``residual_history`` holds the cheap residual norm of every inner
-    iteration (absolute, same scale as ``tol_res``), or None for a step of a
-    restarted solver or of ``sksm_two_pass`` that did not solve its projected
-    equation (never the last step of a cycle or of SKSM's first pass, and
-    none with ``verify=True``); ``cycle_starts`` marks the 0-based history
+    iteration (absolute, same scale as ``tol_res``), or None for a step that
+    did not solve its projected equation (:func:`_solve_due`);
+    ``cycle_starts`` marks the 0-based history
     index where each cycle begins.  Ranks are recorded after the per-cycle
     compressions.  ``peak_live_columns`` is the largest
     number of basis columns held simultaneously across all Krylov sessions.
@@ -272,6 +272,14 @@ class SolveReport:
         return value / self.rhs_norm if self.rhs_norm else float("nan")
 
 
+def _as_count(name, value):
+    """``value`` as an int (numpy integers too); ``ValueError`` naming the setting otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _as_block(V):
     """Coerce a right-hand-side factor to an (n, s) float array."""
     V = np.asarray(V, dtype=np.float64)
@@ -338,29 +346,30 @@ def _new_report(solver, C, D, norm_a, norm_b, tol_res=None, memmax=None, config=
     return report
 
 
-def _solve_due(report, j, mk, width, n):
-    """Whether inner step ``j`` of the open cycle needs its projected solve.
+def _solve_due(report, j, mk, width, n, blocks, broken=False):
+    """Whether inner step ``j`` of the open cycle solves its projected equation.
 
-    Only the solve at the cycle's last step (``j == mk - 1``) feeds the
-    restart; the others only test ``r <= tol_res``, so a step may skip its
-    solve while that test cannot pass.  A step solves when the extended basis
-    spans the whole space (``(j + 2) * width >= n``), where finite termination
-    can drop the residual by orders of magnitude at once, and until two of the
-    cycle's residuals are known, the previous cycle's closing residual counting
-    as the one at step -1.  After that, with ``r_b`` the last known residual,
-    at step ``b``, it solves once ``j - b > _MAX_SKIPS`` or
-    ``r_b * rho^(2 (j - b)) <= _SOLVE_MARGIN * tol_res``, where ``rho`` is the
-    smaller of this cycle's and the previous cycle's mean per-step rate (from
-    its first known residual to its last), and at most 1.  The squared rate
-    and the bounded run of skips cover Krylov convergence that speeds up after
-    a slow start.  Callers also solve at every step in verify mode, after a
-    breakdown and wherever the new block's R factor is near rank deficiency
-    (:func:`arnoldi._near_breakdown`: the Krylov space may end there and the
-    residual collapse in one step).  ``sksm_two_pass`` asks too: a report
-    with no ``cycle_starts`` (its first pass) reads as one cycle that starts
-    at history index 0.
+    The one rule of the restarted drivers and of ``sksm_two_pass``'s first
+    pass, which reads as one cycle from history index 0; a skipped step gets
+    its None in ``residual_history`` here.  Only the last step's solve
+    (``j == mk - 1``) feeds the restart; the others only test
+    ``r <= tol_res``.  A step solves, in this order: in verify mode; after a
+    breakdown (``broken``); at the last step; once the extended basis spans
+    the whole space (``(j + 2) * width >= n``), where finite termination can
+    drop the residual by orders of magnitude at once; until two of the
+    cycle's residuals are known, the previous cycle's closing one counting
+    as step -1; after ``_MAX_SKIPS`` skips in a row; where the last known
+    residual ``r_b``, at step ``b``, extrapolates to
+    ``r_b * rho^(2 (j - b)) <= _SOLVE_MARGIN * tol_res``, ``rho`` the smaller
+    of this and the previous cycle's mean per-step rate (first to last known
+    residual), at most 1: the squared rate and the bounded run of skips
+    cover convergence that speeds up after a slow start; and last, its s x s
+    SVD taken only here, where an ``(R, norm)`` of ``blocks`` is near rank
+    deficiency (:func:`_near_breakdown`), since the Krylov space may end
+    there and the residual collapse in one step before the breakdown test on
+    R's diagonal fires.
     """
-    if j == mk - 1 or (j + 2) * width >= n:
+    if report.explicit_history is not None or broken or j == mk - 1 or (j + 2) * width >= n:
         return True
     hist, starts = report.residual_history, report.cycle_starts or [0]
     start = starts[-1]
@@ -378,7 +387,16 @@ def _solve_due(report, j, mk, width, n):
     rho = min(1.0, rate(known[0], last))
     if len(starts) > 1:
         rho = min(rho, rate(max(starts[-2] - 1, 0), start - 1))
-    return hist[last] * rho ** (2 * ahead) <= _SOLVE_MARGIN * report.tol_res
+    if (hist[last] * rho ** (2 * ahead) <= _SOLVE_MARGIN * report.tol_res
+            or any(_near_breakdown(R, norm) for R, norm in blocks)):
+        return True
+    hist.append(None)
+    return False
+
+
+def _near_breakdown(R, norm):
+    """``sigma_min(R) <= sqrt(u) * norm``, u the unit roundoff and ``norm`` estimating ``||A||``."""
+    return np.linalg.svd(R, compute_uv=False)[-1] <= np.sqrt(np.finfo(float).eps / 2) * norm
 
 
 def _in_basis(basis, W):
@@ -444,11 +462,9 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         for j in range(mk):
             arnoldi_extend(dec_a)
             arnoldi_extend(dec_b)
-            if not (verify or dec_a.breakdown or dec_b.breakdown
-                    or _solve_due(report, j, mk, sk, n)
-                    or _near_breakdown(dec_a.boundary, norm_a)
-                    or _near_breakdown(dec_b.boundary, norm_b)):
-                report.residual_history.append(None)
+            if not _solve_due(report, j, mk, sk, n,
+                              ((dec_a.boundary, norm_a), (dec_b.boundary, norm_b)),
+                              dec_a.breakdown or dec_b.breakdown):
                 continue
             ka, kb = dec_a.m * sk, dec_b.m * sk
             F = np.zeros((ka, kb))
@@ -538,9 +554,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         for j in range(mk):
             arnoldi_extend(dec)
             proj = H = None  # free the last step's k x k arrays before the next solve
-            if not (verify or dec.breakdown or _solve_due(report, j, mk, sk, n)
-                    or _near_breakdown(dec.boundary, norm_a)):
-                report.residual_history.append(None)
+            if not _solve_due(report, j, mk, sk, n, ((dec.boundary, norm_a),), dec.breakdown):
                 continue
             # symmetric to roundoff for symmetric A; made exact, it takes the eigh route
             H = 0.5 * (dec.H + dec.H.T) if A.symmetric else dec.H

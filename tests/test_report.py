@@ -30,8 +30,9 @@ GMRES = InnerSolverConfig("block-gmres", 1e-10)
 
 SOLVES = {
     "restarted-lyap": lambda: restarted_lyap(LAP, C_LAP, SolverConfig(memmax=32, tol_res=1e-8)),
+    # numpy integers are budgets too
     "restarted-lyap-k_max": lambda: restarted_lyap(
-        LAP, C_LAP, SolverConfig(memmax=32, tol_res=1e-8, k_max=2)),
+        LAP, C_LAP, SolverConfig(memmax=np.int64(32), tol_res=1e-8, k_max=np.int64(2))),
     # a residual cut above tol_res compresses to rank 0 before the cheap residual converges
     "restarted-lyap-rank0": lambda: restarted_lyap(
         LAP, C_LAP, SolverConfig(memmax=16, tol_res=1e-8, tol_comp=1e-3)),
@@ -45,7 +46,7 @@ SOLVES = {
         CD_A, CD_B, C_CD, D_CD, SolverConfig(memmax=24, tol_res=1e-8)),
     "eksm-lyap": lambda: eksm_lyap(LAP, C_LAP, CG, 1e-8, 60),
     "eksm-sylv": lambda: eksm_sylv(CD_A, CD_B, C_CD, D_CD, GMRES, 1e-8, 40),
-    "eksm-lyap-max_dim": lambda: eksm_lyap(LAP, C_LAP, CG, 1e-8, 12),
+    "eksm-lyap-max_dim": lambda: eksm_lyap(LAP, C_LAP, CG, 1e-8, np.int64(12)),
     "eksm-sylv-max_dim": lambda: eksm_sylv(CD_A, CD_B, C_CD, D_CD, GMRES, 1e-8, 12),
     "sksm-two-pass": lambda: sksm_two_pass(LAP, C_LAP, 1e-8, 100),
 }
@@ -91,6 +92,7 @@ def test_finish_identities(name):
     assert rep.wall_time_s > 0
     assert (rep.n, rep.s, rep.norm, rep.tol_res) == (A.n, C.shape[1], "frobenius", 1e-8)
     assert (rep.memmax, rep.k_max) == BUDGETS[name]
+    assert {type(v) for v in (rep.memmax, rep.k_max)} <= {int, type(None)}
     assert rep.norm_estimate_method == "power-iteration(20 iters, seed 42)"
     # every solver reports the estimates it computed (the baselines use them
     # for their solution cut), not NaN placeholders
@@ -180,18 +182,27 @@ def test_cycle_close_records_the_per_step_peak_of_live_columns(monkeypatch, name
     assert rep.peak_live_columns == max(steps)
 
 
+# each baseline with its budget, named as the error names it
 BASELINES_AT = {
-    "eksm-lyap": lambda tol: eksm_lyap(A6, C6, CG, tol, 12),
-    "eksm-sylv": lambda tol: eksm_sylv(A6, A6, C6, C6, GMRES, tol, 12),
-    "sksm-two-pass": lambda tol: sksm_two_pass(A6, C6, tol, 10),
+    "eksm-lyap": ("max_dim", lambda tol, budget=12: eksm_lyap(A6, C6, CG, tol, budget)),
+    "eksm-sylv": ("max_dim", lambda tol, budget=12: eksm_sylv(A6, A6, C6, C6, GMRES, tol, budget)),
+    "sksm-two-pass": ("max_m", lambda tol, budget=10: sksm_two_pass(A6, C6, tol, budget)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BASELINES_AT))
-@pytest.mark.parametrize("tol_res", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("tol_res, budget", [
+    (0.0, None), (-1.0, None), (float("nan"), None), (1e-6, 12.0), (1e-6, np.float64(12)),
+], ids=["0.0", "-1.0", "nan", "budget-12.0", "budget-np.float64"])
 def test_every_baseline_rejects_a_nonpositive_tol_res_before_any_product(monkeypatch, name,
-                                                                         tol_res):
+                                                                         tol_res, budget):
+    # and a budget that is not an integer
     for module in (arnoldi, baselines):
         monkeypatch.setattr(module, "spmm", lambda *args: pytest.fail("product before check"))
-    with pytest.raises(ValueError, match="tol_res must be positive"):
-        BASELINES_AT[name](tol_res)
+    setting, solve = BASELINES_AT[name]
+    if budget is None:
+        with pytest.raises(ValueError, match="tol_res must be positive"):
+            solve(tol_res)
+    else:
+        with pytest.raises(ValueError, match=f"{setting} must be an integer"):
+            solve(tol_res, budget)

@@ -306,10 +306,45 @@ def test_full_space_steps_always_solve(monkeypatch, driver):
     problem = _skip_panel_case("full-space", driver)
     ref = _solve_panel_case(driver, *problem, verify=False)
     solve_due = restarted._solve_due
-    monkeypatch.setattr(restarted, "_solve_due",
-                        lambda report, j, mk, width, n: solve_due(report, j, mk, width, 10**9))
+    monkeypatch.setattr(restarted, "_solve_due", lambda report, j, mk, width, n, *rest:
+                        solve_due(report, j, mk, width, 10**9, *rest))
     rep = _solve_panel_case(driver, *problem, verify=False)
     assert ref.iterations == 21 and rep.iterations > ref.iterations
+
+
+# each reason _solve_due takes, as a change to a step that would skip: the
+# residuals 1 and 0.9 extrapolate to 0.73 at step 2 of 20, far above
+# 30 tol_res, and the new block's R factor is the identity
+_DUE_REASONS = {
+    "verify": {"explicit_history": []},
+    "broken": {"broken": True},
+    "last-step": {"j": 19},
+    "full-space": {"n": 4},
+    "one-known-residual": {"history": [1.0], "j": 1},
+    "skip-bound": {"history": [1.0, 0.9] + [None] * 7, "j": 9},
+    "extrapolation": {"history": [1.0, 1e-5]},
+    "near-breakdown": {"blocks": ((np.eye(2), 1.0), (np.diag([1.0, 1e-9]), 1.0))},
+}
+
+
+@pytest.mark.parametrize("reason", [*_DUE_REASONS, "skip"])
+def test_solve_due_takes_each_reason_in_order(monkeypatch, reason):
+    case = {"history": [1.0, 0.9], "j": 2, "n": 100, "broken": False, "explicit_history": None,
+            "blocks": ((np.eye(2), 1.0),), **_DUE_REASONS.get(reason, {})}
+    report = restarted.SolveReport(solver="restarted-lyap", n=case["n"], s=1, norm="frobenius",
+                                   tol_res=1e-6, residual_history=list(case["history"]),
+                                   cycle_starts=[0], explicit_history=case["explicit_history"])
+    svds = []
+    near_breakdown = restarted._near_breakdown
+    monkeypatch.setattr(restarted, "_near_breakdown",
+                        lambda R, norm: svds.append(R) or near_breakdown(R, norm))
+    due = restarted._solve_due(report, case["j"], 20, 1, case["n"], case["blocks"],
+                               case["broken"])
+    skip = reason == "skip"
+    assert due is not skip
+    assert report.residual_history == case["history"] + [None] * skip
+    # the s x s SVD runs only where no earlier reason decided
+    assert len(svds) == (len(case["blocks"]) if reason in ("skip", "near-breakdown") else 0)
 
 
 @pytest.mark.parametrize("driver, memmax", [("lyap", 24), ("lyap", 60), ("sylv", 48), ("sylv", 120)])
@@ -462,6 +497,9 @@ def test_negative_definite_coefficients_match_oracle():
 
 
 @pytest.mark.parametrize("field, value, match", [
+    ("memmax", 96.0, "memmax must be an integer"),
+    ("memmax", np.float64(96), "memmax must be an integer"),
+    ("k_max", 3.0, "k_max must be an integer"),
     ("k_max", -1, "k_max"),
     ("tol_res", 0.0, "tol_res"),
     ("tol_res", -1e-6, "tol_res"),
@@ -471,7 +509,7 @@ def test_negative_definite_coefficients_match_oracle():
 ])
 def test_config_validation_rejects_bad_settings(field, value, match):
     with pytest.raises(ValueError, match=match):
-        SolverConfig(memmax=40, **{field: value})
+        SolverConfig(**{"memmax": 40, field: value})
 
 
 def test_right_hand_side_block_shapes():
