@@ -216,13 +216,14 @@ class _ExtendedBasis:
 
     Blocks come in pairs: the image part (from applying the operator) and the
     inverse part (from the inner solve), in preallocated Fortran-ordered
-    ``U`` and ``AU`` of ``max_dim`` columns.  Every pair, the first included,
-    goes through :meth:`_grow`: the pair is written into the next free slot,
+    ``U`` and ``AU`` of ``capacity = min(max_dim, n)`` columns: no more than
+    n columns can be orthonormal.  Every pair, the first included, goes
+    through :meth:`_grow`: the pair is written into the next free slot,
     orthonormalized there against the basis by
     :func:`linalg.orthonormalize_block`, and its two images are taken.  The
     projection ``T = U* (A U)`` gains the pair's rows and columns in a
-    preallocated ``max_dim x max_dim`` array, from the cached images, so its
-    assembly costs no operator applications beyond the one image per new
+    preallocated ``capacity x capacity`` array, from the cached images, so
+    its assembly costs no operator applications beyond the one image per new
     block.  ``rhs`` is ``U* C``, read off the first pair's R factor: nonzero
     only in its leading 2s rows.  :meth:`residual_norm` reads the cached
     images a row slice at a time.
@@ -232,27 +233,34 @@ class _ExtendedBasis:
         self.A = A
         self.inner = inner
         self.counter = counter
-        self.max_dim = max_dim
         n, s = C.shape
         self.s = s
+        self.capacity = min(max_dim, n)
         # neither inner solver deflates: a rank-deficient C would make block CG
         # report an SPD operator as indefinite, so it is rejected as arnoldi_init does
         _check_full_rank(qr_economy(C)[1])
-        self._U = np.empty((n, max_dim), order="F")
-        self._AU = np.empty((n, max_dim), order="F")
-        self._T = np.zeros((max_dim, max_dim))
-        self._rhs = np.zeros((max_dim, s))
+        if inner.kind == "block-cg" and not A.symmetric:
+            raise ValueError("block CG needs an operator flagged symmetric (positive definite)")
+        self._U = np.empty((n, self.capacity), order="F")
+        self._AU = np.empty((n, self.capacity), order="F")
+        self._T = np.zeros((self.capacity, self.capacity))
+        self._rhs = np.zeros((self.capacity, s))
         self.dim = 0
         R = self._grow(C, C, tol)
         self._rhs[: 2 * s] = R[:, :s]
 
+    @property
+    def full(self):
+        """Whether the next pair would outgrow the capacity."""
+        return self.dim + 2 * self.s > self.capacity
+
     def _grow(self, image, source, tol):
         """Append the pair ``[image, inner solve of source to tol]``; returns its R factor."""
         d, s = self.dim, self.s
-        if d + 2 * s > self.max_dim:
+        if self.full:
             raise MemoryBudgetError(
-                f"extended basis needs {d + 2 * s} columns > max_dim = {self.max_dim}; "
-                "cannot reach the tolerance"
+                f"extended basis needs {d + 2 * s} columns > min(max_dim, n) = "
+                f"{self.capacity}; cannot reach the tolerance"
             )
         W = self._U[:, d : d + 2 * s]
         W[:, :s] = image
@@ -304,10 +312,11 @@ def _solution_rule(tol_res, r, *norms):
 def eksm_lyap(A, C, inner, tol_res, max_dim):
     """Extended Krylov solver for A X + X A* + C C* = 0 with inexact inverses.
 
-    Stops unconverged when the next pair would outgrow ``max_dim``; raises
-    :class:`MemoryBudgetError` only when the first pair does not fit, and
-    :class:`RankDeficientBlockError` for a rank-deficient C, before any
-    inner solve.
+    Stops unconverged when the next pair would outgrow ``max_dim`` or n, the
+    basis's capacity; raises :class:`MemoryBudgetError` only when the first
+    pair does not fit, and, before any inner solve,
+    :class:`RankDeficientBlockError` for a rank-deficient C and
+    ``ValueError`` for block CG on an operator not flagged symmetric.
     """
     C, _ = _as_blocks(A, A, C, C)
     max_dim = _as_count("max_dim", max_dim)
@@ -325,7 +334,7 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
         Y = solve_lyapunov_ldlt(T, basis.rhs, np.eye(s))
         r = float(np.sqrt(2.0) * basis.residual_norm(Y))
         report.residual_history.append(r)
-        if r <= tol_res or basis.dim + 2 * s > max_dim:  # or the next pair would not fit
+        if r <= tol_res or basis.full:
             break
         tols.append(_relaxed_tol(inner.tol, tol_res, r))
         basis.extend(tols[-1])
@@ -346,10 +355,10 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
 
     Grows one extended basis for (A, C) and one for (B*, D) in lockstep, with
     independent counters for the two operators; ``inner`` serves the inner
-    solves of both.  It stops at ``max_dim`` and raises as :func:`eksm_lyap`
-    does, :class:`RankDeficientBlockError` for a rank-deficient C or D.  A
-    rank-deficient D is found once the basis for (A, C) has taken its first
-    inner solve.
+    solves of both.  It stops at ``max_dim`` or n and raises as
+    :func:`eksm_lyap` does, for either operator and a rank-deficient C or D.
+    D and B are checked once the basis for (A, C) has taken its first inner
+    solve.
     """
     C, D = _as_blocks(A, B, C, D)
     max_dim = _as_count("max_dim", max_dim)
@@ -367,7 +376,7 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
         Y = solve_sylvester_dense(ba.T, bb.T, F)
         r = float(np.hypot(ba.residual_norm(Y), bb.residual_norm(Y.T)))
         report.residual_history.append(r)
-        if r <= tol_res or ba.dim + 2 * ba.s > max_dim:  # or the next pair would not fit
+        if r <= tol_res or ba.full:  # bb is as full as ba
             break
         tols.append(_relaxed_tol(inner.tol, tol_res, r))
         ba.extend(tols[-1])

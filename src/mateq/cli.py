@@ -162,8 +162,6 @@ def _run_solver(name, args, prob):
         kind = "block-cg" if name == "eksm-bcg" else "block-gmres"
         inner = InnerSolverConfig(kind=kind, tol=args.inner_tol)
         if lyap_form:
-            if kind == "block-cg" and not A.symmetric:
-                raise ValueError("eksm-bcg needs a symmetric (positive definite) operator")
             _, rep = eksm_lyap(A, C, inner, args.tol_res, max_dim=args.memmax)
         else:
             _, rep = eksm_sylv(A, B, C, D, inner, args.tol_res, max_dim=args.memmax // 2)

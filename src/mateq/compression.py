@@ -28,9 +28,11 @@ decompose the small core, truncate) followed by the products that form the
 output.  For two-sided products the coefficient step is a function of its
 own, :func:`_truncated_svd`, which leaves each output factor in coefficient
 space: ``restarted_sylv`` forms each side of its restart residual just
-before it releases that side's Arnoldi basis.  Factors stay orthonormal,
-with singular values or eigenvalues held apart, until a solver returns; only
-:func:`_balanced` scales factors by the values' square roots.
+before it releases that side's Arnoldi basis.  Given BasisFactors,
+:func:`compress` returns ``(U, sig, V)`` and :func:`compress_sym` ``(C, lam)``:
+factors stay orthonormal, with singular values or eigenvalues held apart,
+until a solver returns; only :func:`_balanced` scales factors by the values'
+square roots.
 
 Truncation rules: under the ``spectral`` rule every discarded singular value
 (eigenvalue magnitude) is below the tolerance; under the ``frobenius`` rule
@@ -265,24 +267,26 @@ def _eig_by_magnitude(core, rule):
 
 
 def compress_sym(fac, rule):
-    """Truncate a symmetric product; output has orthonormal C and diagonal S.
+    """Truncate a symmetric product to orthonormal columns C and eigenvalues lam.
 
-    ``fac`` is a :class:`SymLowRankFactor`, or a ``(factor, S)`` tuple with a
-    :class:`BasisFactor` for ``factor @ S @ factor.T``.  Eigenvalues are kept
-    by magnitude so an indefinite middle factor keeps its signs real (no
-    complex arithmetic is introduced).
+    ``fac`` is a :class:`SymLowRankFactor`, returned as ``C diag(lam) C*``
+    in a new one, or a ``(factor, S)`` tuple with a :class:`BasisFactor` for
+    ``factor @ S @ factor.T``, returned as ``(C, lam)``.  Eigenvalues are
+    kept by magnitude so an indefinite middle factor keeps its signs real
+    (no complex arithmetic is introduced).
     """
     if not isinstance(rule, TruncationRule):
         raise TypeError("rule must be a TruncationRule")
     if isinstance(fac, SymLowRankFactor):
         if fac.rank == 0:
             return fac
-        fac = (BasisFactor.plain(fac.C), fac.S)
+        C, lam = compress_sym((BasisFactor.plain(fac.C), fac.S), rule)
+        return SymLowRankFactor(C, np.diag(lam))
     factor, S = fac
     Q2, U, T = _orthonormalize(factor)
     core = T @ S @ T.T
     W, lam = _eig_by_magnitude(0.5 * (core + core.T), rule)
-    return SymLowRankFactor(_combine(BasisFactor(factor.Q, Q2, U @ W)), np.diag(lam))
+    return _combine(BasisFactor(factor.Q, Q2, U @ W)), lam
 
 
 def psd_project(fac):

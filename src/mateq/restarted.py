@@ -4,21 +4,21 @@ Both drivers run cycles of the block Arnoldi projection method under a hard
 budget on simultaneously stored basis columns.  Each cycle solves a small
 projected equation and checks a cheap residual norm at the inner steps that
 :func:`_solve_due` picks, among them the cycle's last step, whose solution
-alone feeds what follows.  On restart, the residual of the accumulated
-solution is itself a low-rank product assembled from the boundary blocks of
-the Arnoldi relation, so it is compressed and used as the next cycle's
-right-hand side.  The accumulated solution factors are compressed after
-every cycle as well.
+alone feeds what follows.  Every cycle ends on one path, the converged one
+too: the residual of the accumulated solution, itself a low-rank product
+assembled from the boundary blocks of the Arnoldi relation, is compressed to
+be the next cycle's right-hand side (the last cycle's is dropped), then the
+solution factors are compressed, and only then is ``r <= tol_res`` tested.
 
 Both compressions run in coefficient space (:class:`BasisFactor`).  The
 residual factor ``[U_{m+1} H_{m+1,m}, V_m Y]`` is a small coefficient matrix
 on the orthonormal basis ``[V_m, U_{m+1}]``, so it needs no tall QR; only
 after a happy breakdown is the remainder block orthogonalized.  Both drivers
 keep factors orthonormal, with eigenvalues or singular values held apart as a
-vector (``XL diag(lx) XL*``, ``QL diag(sig) QR*``), until ``restarted_sylv``
-returns through :func:`compression._balanced`.  So each update's new columns
-``V_m W`` are orthonormal, and the compressed restart residual starts the
-next cycle's bases without a QR (``r0 = I``), its values in the projected
+vector from cycle 0 on (``XL diag(lx) XL*``, ``Ck diag(lk) Ck*``, ``QL
+diag(sig) QR*``) until they return.  So each update's new columns ``V_m W``
+are orthonormal, and the compressed restart residual starts the next
+cycle's bases without a QR (``r0 = I``), its values in the projected
 right-hand side.  ``restarted_lyap`` on an operator flagged symmetric solves
 with the exactly symmetric ``0.5 (H + H.T)`` (the eigh route).  Its inner
 steps take from :class:`dense_eq.ProjectedLyapunov` only the last block row
@@ -27,7 +27,7 @@ solution is formed and checked once per cycle, when the cycle stops, for
 the restart residual and the solution update.  Each step's projected solve
 is dropped before the next one is built.
 
-Memory at a cycle's end is released in reading order.  The restart
+Memory at every cycle's end is released in reading order.  The restart
 residual's coefficient step (:func:`compression._truncated_svd`) runs
 first; before a happy breakdown it does no n-row work.  Then each side in
 turn forms its new solution columns ``V_m W``, Fortran-ordered so that
@@ -433,7 +433,7 @@ def restarted_sylv(A, B, C, D, config, verify=False):
     the cheap values.
     """
     C, D = _as_blocks(A, B, C, D)
-    n = C.shape[0]
+    n, s = C.shape
     t0 = time.perf_counter()
     Bt = B.transpose()
     cnt_a, cnt_b = OpCounter(), OpCounter()
@@ -448,7 +448,7 @@ def restarted_sylv(A, B, C, D, config, verify=False):
     sig = np.zeros(0)
     Ck, Dk = C, D
     R0k = None  # restart blocks come back orthonormal: R = I
-    mid = 1.0  # the restart residual Ck diag(sig_res) Dk*, sig_res held apart
+    mid = np.ones(s)  # the restart residual Ck diag(mid) Dk*, its values held apart
 
     for _ in range(config.k_max + 1):
         sk = Ck.shape[1]
@@ -480,23 +480,17 @@ def restarted_sylv(A, B, C, D, config, verify=False):
             if r <= config.tol_res or (dec_a.breakdown and dec_b.breakdown):
                 break
         report.close_cycle(dec_a.materialized_columns + dec_b.materialized_columns)
-        done = r <= config.tol_res
-        if not done:  # the restart residual's factors, still in the bases
-            res_a, sig_res, res_b = _truncated_svd(
-                (_residual_factor(dec_a, Y[:, -sk:], boundary_first=True),
-                 _residual_factor(dec_b, Y[-sk:, :].T, boundary_first=False)),
-                rule_res,
-            )
+        res_a, sig_res, res_b = _truncated_svd(  # the restart residual, still in the bases
+            (_residual_factor(dec_a, Y[:, -sk:], boundary_first=True),
+             _residual_factor(dec_b, Y[-sk:, :].T, boundary_first=False)), rule_res)
         UY, sig_y, VY = _svd_by_magnitude(Y, rule_sol)
         # release each basis once its new solution columns and its restart
         # block are formed: the solution update does not read it
         left = BasisFactor(QL, _in_basis(dec_a.basis, UY), np.diag(np.r_[sig, sig_y]))
-        if not done:
-            Ck = _combine(res_a)
+        Ck = _combine(res_a)
         dec_a = res_a = None
         right = BasisFactor(QR, _in_basis(dec_b.basis, VY), np.eye(sig.size + sig_y.size))
-        if not done:
-            Dk = _combine(res_b)
+        Dk = _combine(res_b)
         dec_b = res_b = None
         QL, sig, QR = compress((left, right), rule_sol)
         left = right = None  # the previous factors and the new columns go with them
@@ -505,10 +499,11 @@ def restarted_sylv(A, B, C, D, config, verify=False):
             report.cycle_explicit_residuals.append(
                 explicit_residual_sylv(A, B, C, D, (QL * sig) @ QR.T, config.norm)
             )
-        if done:
+        if r <= config.tol_res:
             break
         R0k, mid = np.eye(sig_res.size), sig_res
-        report.residual_ranks.append(Ck.shape[1])
+        report.residual_ranks.append(sig_res.size)
+    Ck = Dk = None  # the last cycle's restart residual feeds nothing
 
     sol = _balanced(QL, sig, QR)  # in place: no second copy of the factors
     report.finish(sol.rank, true_residual_sylv(A, B, C, D, sol.C, sol.D, config.norm),
@@ -520,12 +515,11 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
     """Memory-budgeted restarted solver for A X + X A* + C C* = 0.
 
     Uses a single approximation space per cycle.  After the first restart the
-    residual becomes indefinite, so residual factors carry a small symmetric
-    middle matrix (factored form C S C*) through compression and into the
-    projected equations; the accumulated solution is kept in the same form
-    with its running middle factor.  ``project_spsd=True`` discards the
-    negative eigenvalue part of the final solution; the factor's orthonormal
-    columns and diagonal middle make that a column selection.
+    residual becomes indefinite, so it is held as ``Ck diag(lk) Ck*``, with
+    orthonormal ``Ck``, through compression and into the projected equations;
+    the solution is held as ``XL diag(lx) XL*`` until it returns as a
+    :class:`SymLowRankFactor`.  ``project_spsd=True`` discards the negative
+    eigenvalue part of the final solution, a column selection of ``XL``.
     """
     C, _ = _as_blocks(A, A, C, C)
     n, s = C.shape
@@ -540,17 +534,16 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
     # running solution XL diag(lx) XL* with orthonormal XL
     XL = np.zeros((n, 0))
     lx = np.zeros(0)
-    res = SymLowRankFactor(C, np.eye(s))  # the residual C S C* that the next cycle starts from
+    Ck, lk = C, np.ones(s)  # the residual Ck diag(lk) Ck* that the next cycle starts from
     R0k = None  # restart blocks come back orthonormal: R = I
 
     for _ in range(config.k_max + 1):
-        sk = res.rank
+        sk = lk.size
         mk = config.memmax // sk - 1 if sk else 0
         if not report.open_cycle(sk, mk):  # residual compressed away, or too wide for memmax
             break
-        dec = arnoldi_init(A, res.C, cnt_a, max_steps=mk, r0=R0k)
-        Dmid = res.S
-        res = None  # its factor is copied into the basis
+        dec = arnoldi_init(A, Ck, cnt_a, max_steps=mk, r0=R0k)
+        Ck = None  # copied into the basis
         for j in range(mk):
             arnoldi_extend(dec)
             proj = H = None  # free the last step's k x k arrays before the next solve
@@ -558,7 +551,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
                 continue
             # symmetric to roundoff for symmetric A; made exact, it takes the eigh route
             H = 0.5 * (dec.H + dec.H.T) if A.symmetric else dec.H
-            proj = ProjectedLyapunov(H, dec.r0, Dmid)
+            proj = ProjectedLyapunov(H, dec.r0, np.diag(lk))
             r = residual_norm_lyap(dec.boundary, proj.last_rows(sk), config.norm)
             report.residual_history.append(r)
             if verify:
@@ -572,30 +565,24 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         report.close_cycle(dec.materialized_columns)
         Y = proj.solution()
         proj = H = None
-        done = r <= config.tol_res
-        if not done:
-            swap = np.zeros((2 * sk, 2 * sk))
-            swap[:sk, sk:] = np.eye(sk)
-            swap[sk:, :sk] = np.eye(sk)
-            res = compress_sym(
-                (_residual_factor(dec, Y[:, -sk:], boundary_first=True), swap), rule_res
-            )
+        Ck, lk = compress_sym((_residual_factor(dec, Y[:, -sk:], boundary_first=True),
+                               np.kron([[0, 1], [1, 0]], np.eye(sk))), rule_res)
         WY, lam = _eig_by_magnitude(Y, rule_sol)
         update = BasisFactor(XL, _in_basis(dec.basis, WY), np.eye(lx.size + lam.size))
         dec = None  # release the basis: the solution update does not read it
-        sol = compress_sym((update, np.diag(np.r_[lx, lam])), rule_sol)
+        XL, lx = compress_sym((update, np.diag(np.r_[lx, lam])), rule_sol)
         update = None  # the previous factor and the new columns go with it
-        XL, lx = sol.C, np.diagonal(sol.S)
         report.solution_ranks.append(lx.size)
         report.min_eigenvalues.append(float(lx.min()) if lx.size else 0.0)
         if verify:
             report.cycle_explicit_residuals.append(
                 explicit_residual_lyap(A, C, (XL * lx) @ XL.T, config.norm)
             )
-        if done:
+        if r <= config.tol_res:
             break
-        R0k = np.eye(res.rank)
-        report.residual_ranks.append(res.rank)
+        R0k = np.eye(lk.size)
+        report.residual_ranks.append(lk.size)
+    Ck = None  # the last cycle's restart residual feeds nothing
 
     if project_spsd:
         # XL is orthonormal: the nearest SPSD matrix keeps the columns with a

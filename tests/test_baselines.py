@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -544,6 +546,51 @@ def test_extended_basis_checks_capacity_before_any_work():
     assert cnt.a_calls == calls and basis.dim == 4
 
 
+@pytest.mark.parametrize("equation", ["lyap", "sylv"])
+def test_block_cg_rejects_an_operator_not_flagged_symmetric(monkeypatch, equation):
+    # before the offending operator's first inner solve: block CG's iterates
+    # on the wA field overflow, and on wB its Gram matrix is indefinite
+    from mateq import convdiff_3d
+
+    counters = []
+
+    def counter():
+        counters.append(OpCounter())
+        return counters[-1]
+
+    monkeypatch.setattr(baselines, "OpCounter", counter)
+    inner = InnerSolverConfig("block-cg")
+    C, D = random_rhs(216, 3, seed=0, normalize=True, pair=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="block CG needs an operator flagged symmetric"):
+            if equation == "lyap":
+                eksm_lyap(convdiff_3d(6, 0.01, "wA"), C, inner, 1e-6, 60)
+            else:
+                eksm_sylv(convdiff_3d(6, 0.01, "none"), convdiff_3d(6, 0.01, "wB"), C, D,
+                          inner, 1e-6, 60)
+    assert counters[-1].a_calls == 0
+    if equation == "sylv":
+        assert counters[0].a_calls > 0  # the symmetric A took its first pair
+
+
+@pytest.mark.parametrize("grid, seed", [(4, 0), (4, 1), (4, 2), (2, 0)])
+def test_eksm_lyap_stops_where_the_space_ends(grid, seed):
+    # on laplacian_2d(4), n = 16: two pairs of 3 + 3 columns leave 4
+    # dimensions, too few for a third pair whatever max_dim allows; on
+    # laplacian_2d(2) not even the first pair fits into n = 4
+    A = laplacian_2d(grid)
+    C = random_rhs(A.n, 3, seed)
+    for max_dim in (18, 24, 64):
+        if grid == 2:
+            with pytest.raises(MemoryBudgetError, match=r"min\(max_dim, n\) = 4"):
+                eksm_lyap(A, C, InnerSolverConfig(), 1e-9, max_dim)
+            continue
+        fac, rep = eksm_lyap(A, C, InnerSolverConfig(), 1e-9, max_dim)
+        assert rep.basis_dim == 12 and rep.iterations == 1 and not rep.converged
+        assert rep.true_residual == pytest.approx(rep.final_residual, rel=1e-8)
+
+
 @pytest.mark.parametrize("kind", ["block-cg", "block-gmres"])
 def test_eksm_lyap_rejects_non_finite_rhs(kind):
     A = laplacian_2d(4)
@@ -618,6 +665,7 @@ def test_sksm_two_pass_matches_stored_basis_reference():
     assert np.linalg.norm(fac.to_dense() - X_ref) <= 1e-7 * max(np.linalg.norm(X_ref), 1)
 
 
+@pytest.mark.slow
 def test_eksm_sylv_convdiff_benchmark_scale():
     # two-sided extended Krylov on the 15625-dof convection-diffusion pair;
     # bases of at most 132 columns suffice at this tolerance, and the second

@@ -314,11 +314,15 @@ def test_second_operator_file_makes_a_sylvester_problem(tmp_path, solver):
 
 
 def test_block_cg_rejects_a_nonsymmetric_lyapunov_file(tmp_path, capsys):
+    # and the Sylvester form from the same files, which adds the second operator
     paths = _convdiff_files(tmp_path)
-    code = run(["solve", "--problem", "file", "--a-file", paths["A"], "--c-file", paths["C"],
-                "--solver", "eksm-bcg", "--memmax", "60"])
-    assert code == 1
-    assert "eksm-bcg needs a symmetric (positive definite) operator" in capsys.readouterr().err
+    lyap = ["--a-file", paths["A"], "--c-file", paths["C"]]
+    for files in (lyap, lyap + ["--b-file", paths["B"]]):
+        code = run(["solve", "--problem", "file", *files, "--solver", "eksm-bcg",
+                    "--memmax", "60"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "block CG needs an operator flagged symmetric (positive definite)" in err
 
 
 def test_sylvester_solver_on_one_operator_uses_its_transpose(tmp_path):

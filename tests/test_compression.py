@@ -251,12 +251,13 @@ def test_compress_sym_in_basis_matches_generic(where, norm):
     S = 0.5 * (S + S.T)  # indefinite
     rule = TruncationRule(1e-6, norm)
     exact = f.to_dense() @ S @ f.to_dense().T
-    out = compress_sym((f, S), rule)
+    C, lam = compress_sym((f, S), rule)
     generic = compress_sym(SymLowRankFactor(f.to_dense(), S), rule)
-    assert 0 < out.rank == generic.rank < 9
-    _assert_orthonormal(out.C)
-    assert _norm(out.to_dense() - generic.to_dense(), norm) <= rule.tolerance
-    assert _norm(exact - out.to_dense(), norm) <= rule.tolerance
+    assert 0 < lam.size == C.shape[1] == generic.rank < 9
+    _assert_orthonormal(C)
+    X = (C * lam) @ C.T
+    assert _norm(X - generic.to_dense(), norm) <= rule.tolerance
+    assert _norm(exact - X, norm) <= rule.tolerance
 
 
 def test_compress_leaves_callers_factors_intact():

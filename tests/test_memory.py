@@ -202,8 +202,9 @@ def test_compression_holds_one_output_sized_block(sym):
     rule = TruncationRule(1e-12)
     if sym:
         fac = (factor(), np.diag(np.geomspace(1.0, 1e-6, q + z)))
-        out, peak = _traced_peak(lambda: compress_sym(fac, rule))
-        widths = out.rank
+        (C, lam), peak = _traced_peak(lambda: compress_sym(fac, rule))
+        widths = C.shape[1]
+        assert lam.shape == (widths,)
     else:
         pair = (factor(), factor())
         (U, _, V), peak = _traced_peak(lambda: compress(pair, rule))

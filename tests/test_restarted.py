@@ -624,3 +624,29 @@ def test_error_bound_holds_against_the_oracle_on_laplacians(grid, seeds):
                                         max(rep.tol_comp, rep.tol_comp_res), lam_min, lam_min)
         err = np.linalg.norm(fac.to_dense() - kron_oracle(Ad, Ad, C @ C.T))
         assert err <= bound, f"grid {grid} seed {seed}: error {err:.3e} > bound {bound:.3e}"
+
+
+@pytest.mark.parametrize("equation", ["lyap", "sylv"])
+def test_every_cycle_compresses_its_restart_residual(monkeypatch, equation):
+    # the converged cycle ends as the others do: restarted_lyap compresses its
+    # restart residual and its solution, restarted_sylv takes the restart
+    # residual's coefficient step (the solution's runs inside compress)
+    name = "compress_sym" if equation == "lyap" else "_truncated_svd"
+    calls = []
+    real = getattr(restarted, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(restarted, name, spy)
+    if equation == "lyap":
+        A = laplacian_2d(12)
+        _, rep = restarted_lyap(A, random_rhs(A.n, 1, 1), SolverConfig(memmax=16))
+    else:
+        A = laplacian_2d(10)
+        C, D = random_rhs(A.n, 1, 1, pair=True)
+        _, rep = restarted_sylv(A, A, C, D, SolverConfig(memmax=32))
+    assert rep.converged and rep.restarts >= 2
+    assert len(calls) == (2 if equation == "lyap" else 1) * (rep.restarts + 1)
+    assert len(rep.residual_ranks) == rep.restarts  # recorded only where a cycle restarts
