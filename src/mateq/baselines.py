@@ -338,7 +338,8 @@ def eksm_lyap(A, C, inner, tol_res, max_dim):
             break
         tols.append(_relaxed_tol(inner.tol, tol_res, r))
         basis.extend(tols[-1])
-    W, lam = _eig_by_magnitude(Y, _solution_rule(tol_res, r, norm_a, norm_a))
+    rule = _solution_rule(tol_res, r, norm_a, norm_a)
+    W, lam, report.solution_loss = _eig_by_magnitude(Y, rule)
     report.iterations = len(report.residual_history) - 1  # extensions after the first residual
     report.basis_dim = report.peak_live_columns = basis.dim
     U = basis.U
@@ -381,7 +382,8 @@ def eksm_sylv(A, B, C, D, inner, tol_res, max_dim):
         tols.append(_relaxed_tol(inner.tol, tol_res, r))
         ba.extend(tols[-1])
         bb.extend(tols[-1])
-    U, sig, V = _svd_by_magnitude(Y, _solution_rule(tol_res, r, norm_a, norm_b))
+    rule = _solution_rule(tol_res, r, norm_a, norm_b)
+    U, sig, V, report.solution_loss = _svd_by_magnitude(Y, rule)
     report.iterations = len(report.residual_history) - 1  # extensions after the first residual
     report.basis_dim = ba.dim
     report.peak_live_columns = ba.dim + bb.dim
@@ -457,7 +459,8 @@ def sksm_two_pass(A, C, tol_res, max_m):
     proj = H = grown = None
     report.iterations = m = len(report.residual_history)
 
-    WY, lam = _eig_by_magnitude(Y, _solution_rule(tol_res, r, norm_a, norm_a))
+    rule = _solution_rule(tol_res, r, norm_a, norm_a)
+    WY, lam, report.solution_loss = _eig_by_magnitude(Y, rule)
     XL = np.zeros((n, WY.shape[1]))
     U_prev, U_cur = None, U1
     beta_prev = None

@@ -226,11 +226,12 @@ def _cmd_solve(args):
         print(text)
     if args.history_out:
         _write_history(rep, args.history_out)
+    cert = rep.certified_residual / rep.rhs_norm if rep.rhs_norm else float("nan")
     print(
         f"{rep.solver}: {'converged' if rep.converged else 'NOT converged'} | "
         f"its={rep.iterations} restarts={rep.restarts} rank={rep.solution_rank} "
         f"rel.res={rep.final_relative_residual:.3e} true.rel.res={rep.true_relative_residual:.3e} "
-        f"gap={rep.residual_gap:.3g} time={rep.wall_time_s:.2f}s",
+        f"gap={rep.residual_gap:.3g} cert.rel.res={cert:.3e} time={rep.wall_time_s:.2f}s",
         file=sys.stderr,
     )
     return 0 if rep.converged else 2

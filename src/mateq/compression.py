@@ -29,10 +29,12 @@ output.  For two-sided products the coefficient step is a function of its
 own, :func:`_truncated_svd`, which leaves each output factor in coefficient
 space: ``restarted_sylv`` forms each side of its restart residual just
 before it releases that side's Arnoldi basis.  Given BasisFactors,
-:func:`compress` returns ``(U, sig, V)`` and :func:`compress_sym` ``(C, lam)``:
-factors stay orthonormal, with singular values or eigenvalues held apart,
-until a solver returns; only :func:`_balanced` scales factors by the values'
-square roots.
+:func:`compress` returns ``(U, sig, V, dropped)`` and :func:`compress_sym`
+``(C, lam, dropped)``: factors stay orthonormal, with singular values or
+eigenvalues held apart, until a solver returns; only :func:`_balanced` scales
+factors by the values' square roots.  ``dropped`` is the exact norm of what
+the cut discarded, which the restarted drivers add up (``residual_loss``,
+``solution_loss``).
 
 Truncation rules: under the ``spectral`` rule every discarded singular value
 (eigenvalue magnitude) is below the tolerance; under the ``frobenius`` rule
@@ -192,14 +194,24 @@ def _combine(f):
 
 
 def _keep_count(values, rule):
-    """Number of leading entries kept from magnitude-descending ``values``."""
+    """Leading entries kept from magnitude-descending ``values``, and the norm of the rest."""
     values = np.abs(values)
     if rule.norm == "spectral":
-        return int(np.count_nonzero(values >= rule.tolerance))
-    # frobenius: greedily drop the largest tail whose Euclidean norm <= tol
-    tail = np.sqrt(np.cumsum(values[::-1] ** 2))[::-1]
-    keep = int(np.count_nonzero(tail > rule.tolerance))
-    return keep
+        keep = int(np.count_nonzero(values >= rule.tolerance))
+    else:  # frobenius: greedily drop the largest tail whose Euclidean norm <= tol
+        tail = np.sqrt(np.cumsum(values[::-1] ** 2))[::-1]
+        keep = int(np.count_nonzero(tail > rule.tolerance))
+    return keep, _dropped_norm(values[keep:], rule.norm)
+
+
+def _dropped_norm(values, norm):
+    """Norm of ``diag(values)`` in ``norm``: the largest magnitude, or the Euclidean norm.
+
+    Cut from a factor with orthonormal columns on both sides, that is the
+    exact norm of what the cut discards.
+    """
+    values = np.abs(values)
+    return float(values.max(initial=0.0) if norm == "spectral" else np.linalg.norm(values))
 
 
 def _balanced(U, sig, V):
@@ -211,18 +223,20 @@ def _balanced(U, sig, V):
 
 
 def _svd_by_magnitude(M, rule):
-    """Truncated SVD of a small matrix: orthonormal ``U`` and ``V`` and the kept sigma."""
+    """Truncated SVD of a small matrix: orthonormal ``U``, kept sigma, ``V``, dropped norm."""
     U, sig, Vt = svd(M)
-    keep = _keep_count(sig, rule)
-    return U[:, :keep].copy(), sig[:keep], Vt[:keep].T.copy()  # copies: the full factors die
+    keep, dropped = _keep_count(sig, rule)
+    # copies: the full factors die
+    return U[:, :keep].copy(), sig[:keep], Vt[:keep].T.copy(), dropped
 
 
 def _truncated_svd(pair, rule):
     """Coefficient step of :func:`compress` for a ``(left, right)`` BasisFactor tuple.
 
-    Returns ``(U, sigma, V)`` with ``U`` and ``V`` as :class:`BasisFactor`
-    ``[Q, Q2] @ W`` whose products (:func:`_combine`) are the truncated SVD's
-    orthonormal factors.  This step orthonormalizes each factor's extra
+    Returns ``(U, sigma, V, dropped)`` with ``U`` and ``V`` as
+    :class:`BasisFactor` ``[Q, Q2] @ W`` whose products (:func:`_combine`) are
+    the truncated SVD's orthonormal factors, and ``dropped`` the norm of the
+    part cut off.  This step orthonormalizes each factor's extra
     columns ``Z`` against its ``Q`` and takes the SVD of the small core; with
     no extra columns, as in a restart residual before a happy breakdown, it
     does no n-row work at all, so a caller may form each side's output when
@@ -231,8 +245,8 @@ def _truncated_svd(pair, rule):
     left, right = pair
     Qc, Uc, Tc = _orthonormalize(left)
     Qd, Ud, Td = _orthonormalize(right)
-    U, sig, V = _svd_by_magnitude(Tc @ Td.T, rule)
-    return BasisFactor(left.Q, Qc, Uc @ U), sig, BasisFactor(right.Q, Qd, Ud @ V)
+    U, sig, V, dropped = _svd_by_magnitude(Tc @ Td.T, rule)
+    return BasisFactor(left.Q, Qc, Uc @ U), sig, BasisFactor(right.Q, Qd, Ud @ V), dropped
 
 
 def compress(pair, rule):
@@ -242,28 +256,31 @@ def compress(pair, rule):
     :class:`BasisFactor` for ``left @ right.T``.  A LowRankFactorPair comes
     back as a new pair with square-root-balanced factors (zero columns when
     the whole product is below the tolerance); a BasisFactor tuple comes back
-    as the truncated SVD ``(U, sigma, V)`` with orthonormal ``U`` and ``V``.
-    Either way the dropped part is bounded by ``rule.tolerance`` in the
-    rule's norm.
+    as the truncated SVD ``(U, sigma, V, dropped)`` with orthonormal ``U`` and
+    ``V`` and ``dropped`` the dropped part's norm.  Either way the dropped
+    part is bounded by ``rule.tolerance`` in the rule's norm.
     """
     if not isinstance(rule, TruncationRule):
         raise TypeError("rule must be a TruncationRule")
     if isinstance(pair, LowRankFactorPair):
         if pair.rank == 0:
             return pair
-        return _balanced(*compress((BasisFactor.plain(pair.C), BasisFactor.plain(pair.D)), rule))
-    U, sig, V = _truncated_svd(pair, rule)
-    return _combine(U), sig, _combine(V)
+        U, sig, V, _ = compress((BasisFactor.plain(pair.C), BasisFactor.plain(pair.D)), rule)
+        return _balanced(U, sig, V)
+    U, sig, V, dropped = _truncated_svd(pair, rule)
+    return _combine(U), sig, _combine(V), dropped
 
 
 def _eig_by_magnitude(core, rule):
-    """Eigendecomposition of a small symmetric core, truncated by |eigenvalue|."""
+    """Eigendecomposition ``W``, ``lam`` of a small symmetric core, truncated by |eigenvalue|.
+
+    The third value returned is the dropped norm.
+    """
     W, lam = eig_sym(core)
     order = np.argsort(-np.abs(lam), kind="stable")
-    lam_m = lam[order]
-    keep = _keep_count(lam_m, rule)
+    keep, dropped = _keep_count(lam[order], rule)
     kept_idx = np.sort(order[:keep])  # keep eigenvalue-descending presentation
-    return W[:, kept_idx], lam[kept_idx]
+    return W[:, kept_idx], lam[kept_idx], dropped
 
 
 def compress_sym(fac, rule):
@@ -271,22 +288,23 @@ def compress_sym(fac, rule):
 
     ``fac`` is a :class:`SymLowRankFactor`, returned as ``C diag(lam) C*``
     in a new one, or a ``(factor, S)`` tuple with a :class:`BasisFactor` for
-    ``factor @ S @ factor.T``, returned as ``(C, lam)``.  Eigenvalues are
-    kept by magnitude so an indefinite middle factor keeps its signs real
-    (no complex arithmetic is introduced).
+    ``factor @ S @ factor.T``, returned as ``(C, lam, dropped)``, ``dropped``
+    the norm of the part cut off.  Eigenvalues are kept by magnitude so an
+    indefinite middle factor keeps its signs real (no complex arithmetic is
+    introduced).
     """
     if not isinstance(rule, TruncationRule):
         raise TypeError("rule must be a TruncationRule")
     if isinstance(fac, SymLowRankFactor):
         if fac.rank == 0:
             return fac
-        C, lam = compress_sym((BasisFactor.plain(fac.C), fac.S), rule)
+        C, lam, _ = compress_sym((BasisFactor.plain(fac.C), fac.S), rule)
         return SymLowRankFactor(C, np.diag(lam))
     factor, S = fac
     Q2, U, T = _orthonormalize(factor)
     core = T @ S @ T.T
-    W, lam = _eig_by_magnitude(0.5 * (core + core.T), rule)
-    return _combine(BasisFactor(factor.Q, Q2, U @ W)), lam
+    W, lam, dropped = _eig_by_magnitude(0.5 * (core + core.T), rule)
+    return _combine(BasisFactor(factor.Q, Q2, U @ W)), lam, dropped
 
 
 def psd_project(fac):

@@ -8,7 +8,18 @@ alone feeds what follows.  Every cycle ends on one path, the converged one
 too: the residual of the accumulated solution, itself a low-rank product
 assembled from the boundary blocks of the Arnoldi relation, is compressed to
 be the next cycle's right-hand side (the last cycle's is dropped), then the
-solution factors are compressed, and only then is ``r <= tol_res`` tested.
+solution factors are compressed, and only then is the stop test taken.
+
+Each compression returns the exact norm of what it cut.  A restart
+residual's cut is never added back, so the true residual is at most the last
+cheap residual ``r`` plus ``residual_loss``, the sum of the cuts of every
+cycle that restarted, plus ``(||A|| + ||B||)`` times ``solution_loss``, the
+sum of the solution cuts (the telescoping identity).  The inner test and the
+end-of-cycle test are therefore both ``r + residual_loss <= tol_res``, and
+the report carries the bound as ``certified_residual``.  By default the
+residual cut spends a share ``_LOSS_SHARE`` of ``tol_res``: each cycle cuts
+at ``1 / _LOSS_SPLIT`` of what is left of it (:func:`_residual_rule`), which
+keeps the residual rank, and with it the restart count, low.
 
 Both compressions run in coefficient space (:class:`BasisFactor`).  The
 residual factor ``[U_{m+1} H_{m+1,m}, V_m Y]`` is a small coefficient matrix
@@ -42,8 +53,8 @@ The per-cycle iteration budget divides the column budget by the width of the
 current residual factor, so the basis depth adapts automatically as the
 residual rank evolves.  The attainable accuracy degrades by at most
 ``(restarts + 1) * (||A|| + ||B|| + 1) * tol_comp`` beyond the residual
-tolerance, which is what :func:`eval_residual_bound` evaluates and what the
-default compression-tolerance rule keeps below ``tol_res``.
+tolerance, ``tol_comp`` the larger of the two sides' largest cuts, which is
+what :func:`eval_residual_bound` evaluates.
 """
 
 import operator
@@ -59,6 +70,7 @@ from .compression import (
     TruncationRule,
     _balanced,
     _combine,
+    _dropped_norm,
     _eig_by_magnitude,
     _svd_by_magnitude,
     _truncated_svd,
@@ -92,6 +104,10 @@ _VERIFY_MAX_N = 2000
 # _solve_due's extrapolation margin (a multiple of tol_res) and its bound on skips in a row
 _SOLVE_MARGIN = 30.0
 _MAX_SKIPS = 7
+# the default residual cut spends this share of tol_res over a run, each
+# cycle at most 1 / _LOSS_SPLIT of what is left (_residual_rule)
+_LOSS_SHARE = 0.1
+_LOSS_SPLIT = 4.0
 
 
 @dataclass
@@ -109,10 +125,16 @@ class SolverConfig:
     un-amplified (coefficient one per cycle, versus ``||A|| + ||B|| + 1`` for
     the solution side), so this side tolerates a much coarser cut; keeping it
     coarse is what stabilizes the residual rank and thereby the per-cycle
-    iteration budget.  ``None`` means: follow ``tol_comp`` when that is set
-    explicitly, otherwise ``max(sol, 1e-3 * tol_res)``, ``sol`` the
-    solution-side tolerance (at ``tol_res = 1e-6`` and the default ``k_max``:
-    3.3e-9 for ``||A|| = ||B|| = 1``, 1e-9 for norms of 1e4).
+    iteration budget.  The drivers add up what each cut drops
+    (``residual_loss``) and stop only when the cheap residual plus that loss
+    is at most ``tol_res``.  ``None`` means: follow ``tol_comp`` when that is
+    set explicitly; otherwise cut each cycle at ``max(floor, (0.1 tol_res -
+    residual_loss) / 4)``, spending at most a tenth of ``tol_res`` over the
+    run, with ``floor = max(sol, 1e-3 * tol_res)`` and ``sol`` the
+    solution-side tolerance (at ``tol_res = 1e-6`` and the default
+    ``k_max``: a first cut of 2.5e-8 and a floor of 3.3e-9 for ``||A|| =
+    ||B|| = 1``, 1e-9 for norms of 1e4).  An explicit value cuts at that
+    value every cycle.
 
     A setting out of range raises ``ValueError`` when the config is built.
     """
@@ -139,7 +161,11 @@ class SolverConfig:
             raise ValueError(f"norm must be 'frobenius' or 'spectral', got {self.norm!r}")
 
     def resolved_tolerances(self, norm_a, norm_b):
-        """Return (solution-side, residual-side) compression tolerances."""
+        """Return (solution-side, residual-side) compression tolerances.
+
+        Under the default residual rule the residual side is its floor
+        (:func:`_residual_rule` cuts each cycle at or above it).
+        """
         sol = self.tol_comp
         if sol is None:
             sol = _default_tol_comp(self.tol_res, self.k_max, norm_a, norm_b)
@@ -160,11 +186,19 @@ class SolveReport:
     index where each cycle begins.  Ranks are recorded after the per-cycle
     compressions.  ``peak_live_columns`` is the largest
     number of basis columns held simultaneously across all Krylov sessions.
+    ``tol_comp_res`` is the largest restart-residual cut the run made.
     ``within_residual_bound`` says whether the true residual stays within
-    ``residual_bound`` (None for solvers that state no bound).  ``converged``
-    says that the last cheap residual is at most ``tol_res``; :meth:`finish`
-    decides it from ``residual_history`` for every solver.  A run that stops
-    before that (``k_max``, ``max_m``, a residual of rank 0, a spent budget)
+    ``residual_bound`` (None for solvers that state no bound).
+    ``residual_loss`` sums the norms that the restart-residual cuts dropped
+    (0 for the baselines, which do not restart), and ``solution_loss`` those
+    of every solution cut.  ``converged`` says that the last cheap residual
+    plus ``residual_loss`` is at most ``tol_res``; :meth:`finish` decides it
+    from ``residual_history`` for every solver.  ``certified_residual`` is
+    ``final_residual + residual_loss + (norm_estimate_a + norm_estimate_b)
+    * solution_loss``, which bounds the true residual wherever the cheap
+    residual is exact (the restarted drivers; not the extended Krylov
+    solvers, whose inner solves are inexact).  A run that stops before
+    convergence (``k_max``, ``max_m``, a residual of rank 0, a spent budget)
     returns its solution so far.  ``residual_gap`` is ``true_residual /
     final_residual``, nan when the cheap residual is 0.
     ``inner_tolerances`` holds, for the extended Krylov solvers, the relaxed
@@ -198,6 +232,9 @@ class SolveReport:
     true_residual: float = float("nan")
     true_relative_residual: float = float("nan")
     residual_gap: float = float("nan")
+    residual_loss: float = 0.0
+    solution_loss: float = 0.0
+    certified_residual: float = float("nan")
     solution_rank: int = 0
     counters: dict = field(default_factory=dict)
     efficiency: float = float("nan")
@@ -218,9 +255,10 @@ class SolveReport:
     def finish(self, solution_rank, true_residual, counters, t0):
         """Fill in the end-of-solve fields that every solver reports.
 
-        ``converged`` and ``residual_gap`` are decided here, from the last
-        cheap residual.  A report with cycles also gets its totals over them
-        and the attainable-residual bound they imply (:func:`eval_residual_bound`).
+        ``converged``, ``residual_gap`` and ``certified_residual`` are
+        decided here, from the last cheap residual and the losses.  A report
+        with cycles also gets its totals over them and the attainable-residual
+        bound they imply (:func:`eval_residual_bound`).
         ``counters`` maps operator names to their :class:`OpCounter`;
         ``efficiency`` is A's matvecs per A-call and ``t0`` is the
         ``time.perf_counter()`` value at the start of the solve.
@@ -233,7 +271,11 @@ class SolveReport:
                 self.norm_estimate_a, self.norm_estimate_b,
             )
         self.final_residual = self.residual_history[-1] if self.residual_history else 0.0
-        self.converged = bool(self.residual_history) and self.final_residual <= self.tol_res
+        self.converged = (bool(self.residual_history)
+                          and self.final_residual + self.residual_loss <= self.tol_res)
+        self.certified_residual = (self.final_residual + self.residual_loss
+                                   + (self.norm_estimate_a + self.norm_estimate_b)
+                                   * self.solution_loss)
         self.final_relative_residual = self._relative(self.final_residual)
         self.solution_rank = solution_rank
         self.true_residual = true_residual
@@ -317,6 +359,22 @@ def eval_error_bound_normal(tol_res, k_bar, tol_comp, re_lambda_a1, re_lambda_b1
 
 def _default_tol_comp(tol_res, k_max, norm_a, norm_b):
     return tol_res / ((k_max + 1) * (norm_a + norm_b + 1))
+
+
+def _residual_rule(config, report):
+    """The rule of the restart-residual cut that closes the open cycle.
+
+    An explicit ``tol_comp`` or ``tol_comp_res`` cuts at its resolved value
+    every cycle.  Otherwise the cut spends ``_LOSS_SHARE * tol_res`` over the
+    run: ``1 / _LOSS_SPLIT`` of what ``report.residual_loss`` has left of
+    it, never below the resolved floor.  ``report.tol_comp_res`` keeps the
+    largest cut, so that :func:`eval_residual_bound` bounds the run.
+    """
+    _, tol = config.resolved_tolerances(report.norm_estimate_a, report.norm_estimate_b)
+    if config.tol_comp is None and config.tol_comp_res is None:
+        tol = max(tol, (_LOSS_SHARE * config.tol_res - report.residual_loss) / _LOSS_SPLIT)
+    report.tol_comp_res = max(report.tol_comp_res, tol)
+    return TruncationRule(tol, config.norm)
 
 
 def _new_report(solver, C, D, norm_a, norm_b, tol_res=None, memmax=None, config=None,
@@ -440,7 +498,6 @@ def restarted_sylv(A, B, C, D, config, verify=False):
     norm_a, norm_b = estimate_norm2(A), estimate_norm2(B)
     report = _new_report("restarted-sylv", C, D, norm_a, norm_b, config=config, verify=verify)
     rule_sol = TruncationRule(report.tol_comp, config.norm)
-    rule_res = TruncationRule(report.tol_comp_res, config.norm)
 
     # running solution QL diag(sig) QR* with orthonormal QL, QR
     QL = np.zeros((n, 0))
@@ -477,13 +534,14 @@ def restarted_sylv(A, B, C, D, config, verify=False):
                 report.explicit_history.append(
                     explicit_residual_sylv(A, B, C, D, Xacc, config.norm)
                 )
-            if r <= config.tol_res or (dec_a.breakdown and dec_b.breakdown):
+            if r + report.residual_loss <= config.tol_res or (dec_a.breakdown and dec_b.breakdown):
                 break
         report.close_cycle(dec_a.materialized_columns + dec_b.materialized_columns)
-        res_a, sig_res, res_b = _truncated_svd(  # the restart residual, still in the bases
+        res_a, sig_res, res_b, res_cut = _truncated_svd(  # the restart residual, still in the bases
             (_residual_factor(dec_a, Y[:, -sk:], boundary_first=True),
-             _residual_factor(dec_b, Y[-sk:, :].T, boundary_first=False)), rule_res)
-        UY, sig_y, VY = _svd_by_magnitude(Y, rule_sol)
+             _residual_factor(dec_b, Y[-sk:, :].T, boundary_first=False)),
+            _residual_rule(config, report))
+        UY, sig_y, VY, y_cut = _svd_by_magnitude(Y, rule_sol)
         # release each basis once its new solution columns and its restart
         # block are formed: the solution update does not read it
         left = BasisFactor(QL, _in_basis(dec_a.basis, UY), np.diag(np.r_[sig, sig_y]))
@@ -492,15 +550,17 @@ def restarted_sylv(A, B, C, D, config, verify=False):
         right = BasisFactor(QR, _in_basis(dec_b.basis, VY), np.eye(sig.size + sig_y.size))
         Dk = _combine(res_b)
         dec_b = res_b = None
-        QL, sig, QR = compress((left, right), rule_sol)
+        QL, sig, QR, sol_cut = compress((left, right), rule_sol)
         left = right = None  # the previous factors and the new columns go with them
+        report.solution_loss += y_cut + sol_cut
         report.solution_ranks.append(sig.size)
         if verify:
             report.cycle_explicit_residuals.append(
                 explicit_residual_sylv(A, B, C, D, (QL * sig) @ QR.T, config.norm)
             )
-        if r <= config.tol_res:
+        if r + report.residual_loss <= config.tol_res:
             break
+        report.residual_loss += res_cut
         R0k, mid = np.eye(sig_res.size), sig_res
         report.residual_ranks.append(sig_res.size)
     Ck = Dk = None  # the last cycle's restart residual feeds nothing
@@ -528,7 +588,6 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
     norm_a = estimate_norm2(A)
     report = _new_report("restarted-lyap", C, C, norm_a, norm_a, config=config, verify=verify)
     rule_sol = TruncationRule(report.tol_comp, config.norm)
-    rule_res = TruncationRule(report.tol_comp_res, config.norm)
     report.min_eigenvalues = []
 
     # running solution XL diag(lx) XL* with orthonormal XL
@@ -560,26 +619,29 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
                 report.explicit_history.append(
                     explicit_residual_lyap(A, C, Xacc, config.norm)
                 )
-            if r <= config.tol_res or dec.breakdown:
+            if r + report.residual_loss <= config.tol_res or dec.breakdown:
                 break
         report.close_cycle(dec.materialized_columns)
         Y = proj.solution()
         proj = H = None
-        Ck, lk = compress_sym((_residual_factor(dec, Y[:, -sk:], boundary_first=True),
-                               np.kron([[0, 1], [1, 0]], np.eye(sk))), rule_res)
-        WY, lam = _eig_by_magnitude(Y, rule_sol)
+        Ck, lk, res_cut = compress_sym((_residual_factor(dec, Y[:, -sk:], boundary_first=True),
+                                        np.kron([[0, 1], [1, 0]], np.eye(sk))),
+                                       _residual_rule(config, report))
+        WY, lam, y_cut = _eig_by_magnitude(Y, rule_sol)
         update = BasisFactor(XL, _in_basis(dec.basis, WY), np.eye(lx.size + lam.size))
         dec = None  # release the basis: the solution update does not read it
-        XL, lx = compress_sym((update, np.diag(np.r_[lx, lam])), rule_sol)
+        XL, lx, sol_cut = compress_sym((update, np.diag(np.r_[lx, lam])), rule_sol)
         update = None  # the previous factor and the new columns go with it
+        report.solution_loss += y_cut + sol_cut
         report.solution_ranks.append(lx.size)
         report.min_eigenvalues.append(float(lx.min()) if lx.size else 0.0)
         if verify:
             report.cycle_explicit_residuals.append(
                 explicit_residual_lyap(A, C, (XL * lx) @ XL.T, config.norm)
             )
-        if r <= config.tol_res:
+        if r + report.residual_loss <= config.tol_res:
             break
+        report.residual_loss += res_cut
         R0k = np.eye(lk.size)
         report.residual_ranks.append(lk.size)
     Ck = None  # the last cycle's restart residual feeds nothing
@@ -588,6 +650,7 @@ def restarted_lyap(A, C, config, verify=False, project_spsd=False):
         # XL is orthonormal: the nearest SPSD matrix keeps the columns with a
         # positive eigenvalue (compression.psd_project)
         keep = lx > 0
+        report.solution_loss += _dropped_norm(lx[~keep], config.norm)
         XL, lx = XL[:, keep], lx[keep]
     final = SymLowRankFactor(XL, np.diag(lx))
     report.finish(final.rank, true_residual_lyap(A, C, final.C, final.S, config.norm),

@@ -266,6 +266,7 @@ def test_criterion_06_spsd_projection_lemma():
 def test_criterion_07_laplacian_reproduction(crit7_report):
     rep = crit7_report
     assert rep.converged
+    assert rep.true_residual <= rep.certified_residual * (1 + 1e-8)
     assert 15 <= rep.restarts <= 26, f"restarts {rep.restarts}"
     assert 130 <= rep.iterations <= 190, f"iterations {rep.iterations}"
     assert 45 <= rep.solution_rank <= 62, f"solution rank {rep.solution_rank}"
@@ -303,6 +304,7 @@ def test_criterion_08_laplacian_baselines(laplacian_setup):
 def test_criterion_09_convdiff_reproduction(crit9_report):
     rep = crit9_report
     assert rep.converged
+    assert rep.true_residual <= rep.certified_residual * (1 + 1e-8)
     assert rep.restarts <= 4, f"restarts {rep.restarts}"
     assert 60 <= rep.iterations <= 110, f"iterations {rep.iterations}"
     assert 45 <= rep.solution_rank <= 70, f"solution rank {rep.solution_rank}"

@@ -96,6 +96,24 @@ def test_solve_writes_report_and_history(tmp_path):
         assert os.path.exists(hist + suffix + ".dat")
 
 
+def test_solve_reports_the_certificate(tmp_path, capsys):
+    # --out carries the losses and the certificate; the summary line prints
+    # the certificate relative to ||C C*|| beside gap=
+    rep_path = str(tmp_path / "rep.json")
+    code = run(["solve", "--problem", "laplacian2d", "--n", "10", "--s", "2",
+                "--seed", "1", "--normalize", "--solver", "restarted-lyap",
+                "--memmax", "24", "--tol-res", "1e-7", "--out", rep_path])
+    assert code == 0
+    rep = json.load(open(rep_path))
+    assert rep["restarts"] >= 1 and rep["residual_loss"] > 0 and rep["solution_loss"] > 0
+    assert rep["certified_residual"] == (rep["final_residual"] + rep["residual_loss"]
+                                         + (rep["norm_estimate_a"] + rep["norm_estimate_b"])
+                                         * rep["solution_loss"])
+    assert rep["true_residual"] <= rep["certified_residual"]
+    cert = rep["certified_residual"] / rep["rhs_norm"]
+    assert f"gap={rep['residual_gap']:.3g} cert.rel.res={cert:.3e} " in capsys.readouterr().err
+
+
 def _dat_rows(path):
     return [line.split() for line in open(path).read().splitlines()]
 

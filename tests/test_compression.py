@@ -233,14 +233,16 @@ def test_compress_in_basis_matches_generic(where, norm):
     left, right = _basis_factor(41, where), _basis_factor(42, "mixed")
     rule = TruncationRule(1e-6, norm)
     exact = left.to_dense() @ right.to_dense().T
-    U, sig, V = compress((left, right), rule)
+    U, sig, V, dropped = compress((left, right), rule)
     generic = compress(LowRankFactorPair(left.to_dense(), right.to_dense()), rule)
     assert 0 < sig.size == generic.rank < 9
     _assert_orthonormal(U)
     _assert_orthonormal(V)
     X = (U * sig) @ V.T
     assert _norm(X - generic.to_dense(), norm) <= rule.tolerance
-    assert _norm(exact - X, norm) <= rule.tolerance
+    # the dropped norm is the exact norm of what the cut discards
+    assert 0 < dropped <= rule.tolerance
+    assert _norm(exact - X, norm) == pytest.approx(dropped, rel=1e-6)
 
 
 @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
@@ -251,13 +253,14 @@ def test_compress_sym_in_basis_matches_generic(where, norm):
     S = 0.5 * (S + S.T)  # indefinite
     rule = TruncationRule(1e-6, norm)
     exact = f.to_dense() @ S @ f.to_dense().T
-    C, lam = compress_sym((f, S), rule)
+    C, lam, dropped = compress_sym((f, S), rule)
     generic = compress_sym(SymLowRankFactor(f.to_dense(), S), rule)
     assert 0 < lam.size == C.shape[1] == generic.rank < 9
     _assert_orthonormal(C)
     X = (C * lam) @ C.T
     assert _norm(X - generic.to_dense(), norm) <= rule.tolerance
-    assert _norm(exact - X, norm) <= rule.tolerance
+    assert 0 < dropped <= rule.tolerance
+    assert _norm(exact - X, norm) == pytest.approx(dropped, rel=1e-6)
 
 
 def test_compress_leaves_callers_factors_intact():

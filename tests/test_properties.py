@@ -43,7 +43,9 @@ def _instances(draw, floor):
 def _check_report(rep, residual, X, Xo, sep):
     """The checks every verify-mode solve must pass, on its dense residual ``residual(X)``.
 
-    Residuals are compared to within a fraction of ``||C D*||_F``.
+    Residuals are compared to within a fraction of ``||C D*||_F``, the
+    certificate too: it bounds the true residual of every run, converged or
+    not, up to the roundoff of a residual near 1e-16.
     """
     cheap = np.array(rep.residual_history)
     explicit = np.array(rep.explicit_history)
@@ -53,6 +55,7 @@ def _check_report(rep, residual, X, Xo, sep):
     assert abs(rep.true_residual - dense) <= 1e-12 * rep.rhs_norm
     # X - Xo solves the Kronecker system with right-hand side residual(X)
     assert np.linalg.norm(X - Xo) <= (dense + 1e-12 * rep.rhs_norm) / sep
+    assert rep.true_residual <= rep.certified_residual * (1 + 1e-8) + 1e-12 * rep.rhs_norm
     if rep.converged:
         assert rep.true_residual <= rep.residual_bound
 

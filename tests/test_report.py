@@ -30,9 +30,9 @@ GMRES = InnerSolverConfig("block-gmres", 1e-10)
 
 SOLVES = {
     "restarted-lyap": lambda: restarted_lyap(LAP, C_LAP, SolverConfig(memmax=32, tol_res=1e-8)),
-    # numpy integers are budgets too
+    # numpy integers are budgets too; k_max 1 stops the run one restart short of converging
     "restarted-lyap-k_max": lambda: restarted_lyap(
-        LAP, C_LAP, SolverConfig(memmax=np.int64(32), tol_res=1e-8, k_max=np.int64(2))),
+        LAP, C_LAP, SolverConfig(memmax=np.int64(32), tol_res=1e-8, k_max=np.int64(1))),
     # a residual cut above tol_res compresses to rank 0 before the cheap residual converges
     "restarted-lyap-rank0": lambda: restarted_lyap(
         LAP, C_LAP, SolverConfig(memmax=16, tol_res=1e-8, tol_comp=1e-3)),
@@ -55,7 +55,7 @@ UNCONVERGED = {"restarted-lyap-k_max", "restarted-lyap-rank0", "restarted-lyap-m
 # (memmax, k_max) each solve's report opens with
 BUDGETS = {
     "restarted-lyap": (32, 100),
-    "restarted-lyap-k_max": (32, 2),
+    "restarted-lyap-k_max": (32, 1),
     "restarted-lyap-rank0": (16, 100),
     "restarted-sylv": (48, 100),
     "restarted-lyap-memmax": (12, 100),
@@ -82,7 +82,10 @@ def test_finish_identities(name):
     rhs_norm = np.linalg.norm(C @ D.T)
     assert abs(rep.rhs_norm - rhs_norm) <= 1e-12 * rhs_norm
     assert rep.final_residual == rep.residual_history[-1]
-    assert rep.converged == (rep.final_residual <= rep.tol_res)
+    assert rep.converged == (rep.final_residual + rep.residual_loss <= rep.tol_res)
+    assert rep.certified_residual == (rep.final_residual + rep.residual_loss
+                                      + (rep.norm_estimate_a + rep.norm_estimate_b)
+                                      * rep.solution_loss)
     assert rep.final_relative_residual == rep.final_residual / rep.rhs_norm
     assert rep.true_relative_residual == rep.true_residual / rep.rhs_norm
     assert rep.residual_gap == rep.true_residual / rep.final_residual
@@ -107,9 +110,11 @@ def test_finish_identities(name):
         assert rep.solution_ranks[-1] == rep.solution_rank
         assert rep.restarts >= 1
         assert rep.within_residual_bound == (rep.true_residual <= rep.residual_bound)
+        assert rep.true_residual <= rep.certified_residual * (1 + 1e-8)
     else:
         assert rep.residual_bound is None and rep.within_residual_bound is None
         assert rep.tol_comp is None and rep.tol_comp_res is None
+        assert rep.residual_loss == 0.0
     assert (rep.inner_tolerances is not None) == name.startswith("eksm")
     if name == "restarted-lyap-rank0":
         assert rep.residual_ranks[-1] == 0

@@ -394,6 +394,54 @@ def test_rank_zero_residual_means_converged():
     assert rep.converged
 
 
+def test_a_coarse_fixed_residual_cut_claims_no_convergence_it_lacks():
+    """A fixed residual cut of 0.3 tol_res on a small Laplacian.
+
+    Before the restart residual's cuts were counted, this run reported
+    converged after 9 restarts at a true residual of 1.18e-6, above ``tol_res
+    = 1e-6``.  Counted, the cuts keep it from stopping there: it converges
+    only with its true residual within ``tol_res``, or stops unconverged,
+    and the certificate bounds the true residual either way.
+    """
+    A = laplacian_2d(10)
+    C = random_rhs(A.n, 2, seed=1, normalize=True)
+    _, rep = restarted_lyap(A, C, SolverConfig(memmax=20, tol_res=1e-6, tol_comp_res=3e-7))
+    assert rep.residual_loss > 0 and rep.tol_comp_res == 3e-7
+    assert rep.converged == (rep.final_residual + rep.residual_loss <= rep.tol_res)
+    assert not rep.converged or rep.true_residual <= rep.tol_res
+    assert rep.true_residual <= rep.certified_residual * (1 + 1e-8)
+
+
+@pytest.mark.parametrize("driver", ["sylv", "lyap"])
+def test_default_residual_cut_spends_a_share_of_tol_res(monkeypatch, driver):
+    # each cycle cuts at max(floor, (0.1 tol_res - loss so far) / 4); the
+    # report keeps the largest cut and the sum of what the cuts dropped
+    cuts = []
+    rule = restarted._residual_rule
+
+    def spy(config, report):
+        out = rule(config, report)
+        cuts.append((out.tolerance, report.residual_loss))
+        return out
+
+    monkeypatch.setattr(restarted, "_residual_rule", spy)
+    if driver == "lyap":
+        A, cfg = laplacian_2d(12), SolverConfig(memmax=16, tol_res=1e-6)
+        _, rep = restarted_lyap(A, random_rhs(A.n, 1, 1, normalize=True), cfg)
+    else:
+        A, cfg = laplacian_2d(10), SolverConfig(memmax=32, tol_res=1e-6)
+        _, rep = restarted_sylv(A, A, *random_rhs(A.n, 1, 1, normalize=True, pair=True), cfg)
+    floor = cfg.resolved_tolerances(rep.norm_estimate_a, rep.norm_estimate_b)[1]
+    assert rep.converged and rep.restarts >= 2 and len(cuts) == rep.restarts + 1
+    for tol, loss in cuts:
+        assert tol == max(floor, (restarted._LOSS_SHARE * cfg.tol_res - loss)
+                          / restarted._LOSS_SPLIT)
+    assert cuts[0][0] == 0.025 * cfg.tol_res > floor
+    assert rep.tol_comp_res == max(tol for tol, _ in cuts)
+    assert 0 < rep.residual_loss <= restarted._LOSS_SHARE * cfg.tol_res
+    assert rep.true_residual <= min(rep.tol_res, rep.certified_residual)
+
+
 def test_psd_projection_option():
     rng = rng_for(10)
     Ad = -spd_dense(rng, 16)
@@ -415,6 +463,9 @@ def test_psd_projection_matches_psd_project(sign):
     fac, rep = restarted_lyap(A, C, cfg, project_spsd=True)
     ref = psd_project(plain)
     assert fac.rank == ref.rank == rep.solution_rank
+    # the projection is a solution cut: its dropped eigenvalues count, and
+    # the certificate still bounds the true residual
+    assert rep.true_residual <= rep.certified_residual * (1 + 1e-8)
     if sign < 0:
         X, Xref = fac.to_dense(), ref.to_dense()
         assert fac.rank > 0
@@ -422,6 +473,7 @@ def test_psd_projection_matches_psd_project(sign):
     else:
         assert plain.rank > 0
         assert fac.rank == 0 and fac.C.shape == (A.n, 0)
+        assert rep.solution_loss >= np.linalg.norm(np.diagonal(plain.S))
 
 
 def test_eval_residual_bound_values():
@@ -468,7 +520,8 @@ def test_default_tolerance_rule_satisfies_budget_inequality():
 
 @pytest.mark.parametrize("norm, tol_res_fac", [(1.0, 1e-6 / (101 * 3)), (1e4, 1e-9)])
 def test_default_residual_tolerance_is_the_coarser_rule(norm, tol_res_fac):
-    # tol_comp_res=None takes max(solution-side tol, 1e-3 * tol_res)
+    # tol_comp_res=None resolves to the default cut's floor, max(solution-side
+    # tol, 1e-3 * tol_res)
     cfg = SolverConfig(memmax=40, tol_res=1e-6)
     sol, res = cfg.resolved_tolerances(norm, norm)
     assert sol == pytest.approx(1e-6 / (101 * (2 * norm + 1)))
